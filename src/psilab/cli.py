@@ -113,8 +113,11 @@ class Report:
 
 def _load_polynomial(args, field):
     if getattr(args, "poly", None):
-        with open(args.poly) as fh:
-            text = fh.read().strip()
+        try:
+            with open(args.poly) as fh:
+                text = fh.read().strip()
+        except OSError as exc:
+            raise ConfigError(f"cannot read --poly file {args.poly}: {exc.strerror}") from exc
         if text.startswith("{"):
             return element_from_json(text, field)
         return parse_element(text, n=getattr(args, "n", None), field=field)

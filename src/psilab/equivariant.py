@@ -148,10 +148,6 @@ class ClassFunction:
         return all(v == 0 for v in self.values.values())
 
 
-def zero_class_function(n: int) -> ClassFunction:
-    return ClassFunction(n, {mu: Fraction(0) for mu in partitions_of(n)})
-
-
 def irreducible_class_function(lam) -> ClassFunction:
     lam = check_partition(lam)
     n = sum(lam)

@@ -5,8 +5,8 @@ algebra on graded components.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 from .fields import QQ, ConfigError
@@ -20,8 +20,7 @@ class QuotientAlgebra:
     """A = R/I for an ideal generated in a single degree, given by a RowSpace.
 
     Graded components of I, standard-monomial bases of A, and multiplication
-    matrices are computed lazily per degree behind a lock; all queries after
-    warm-up are read-only and thread-safe.
+    matrices are computed lazily per degree.
     """
 
     def __init__(self, gens: RowSpace, degree_cap: int | None = None):
@@ -34,7 +33,6 @@ class QuotientAlgebra:
         self.degree_cap = degree_cap if degree_cap is not None else gens.degree + gens.n
         self._ideal = {gens.degree: gens}
         self._shift_tables = {}
-        self._lock = threading.RLock()
 
     @classmethod
     def from_psi(cls, ideal: PsiIdeal, degree_cap: int | None = None) -> "QuotientAlgebra":
@@ -47,17 +45,16 @@ class QuotientAlgebra:
         key = (j, k)
         tbl = self._shift_tables.get(key)
         if tbl is None:
-            with self._lock:
-                src = monomials_of_degree(self.n, j)
-                dst_index = {
-                    e: i for i, e in enumerate(monomials_of_degree(self.n, j + 1))
-                }
-                tbl = []
-                for e in src:
-                    ne = list(e)
-                    ne[k] += 1
-                    tbl.append(dst_index[tuple(ne)])
-                self._shift_tables[key] = tbl
+            src = monomials_of_degree(self.n, j)
+            dst_index = {
+                e: i for i, e in enumerate(monomials_of_degree(self.n, j + 1))
+            }
+            tbl = []
+            for e in src:
+                ne = list(e)
+                ne[k] += 1
+                tbl.append(dst_index[tuple(ne)])
+            self._shift_tables[key] = tbl
         return tbl
 
     def ideal_component(self, j: int) -> RowSpace:
@@ -65,21 +62,15 @@ class QuotientAlgebra:
         got = self._ideal.get(j)
         if got is not None:
             return got
-        with self._lock:
-            got = self._ideal.get(j)
-            if got is not None:
-                return got
-            if j < self.gen_degree:
-                rs = RowSpace(self.n, j, self.field)
-            else:
-                prev = self.ideal_component(j - 1)
-                rs = RowSpace(self.n, j, self.field)
-                for vec in prev.vectors():
-                    for k in range(self.n):
-                        tbl = self._shift_table(j - 1, k)
-                        rs.add_vector({tbl[i]: c for i, c in vec.items()})
-            self._ideal[j] = rs
-            return rs
+        rs = RowSpace(self.n, j, self.field)
+        if j >= self.gen_degree:
+            prev = self.ideal_component(j - 1)
+            for vec in prev.vectors():
+                for k in range(self.n):
+                    tbl = self._shift_table(j - 1, k)
+                    rs.add_vector({tbl[i]: c for i, c in vec.items()})
+        self._ideal[j] = rs
+        return rs
 
     # -- quotient structure --------------------------------------------------
 
@@ -120,7 +111,17 @@ class QuotientAlgebra:
         return cols
 
     def top_degree(self) -> int | None:
-        """Largest j with A_j != 0, or None when not artinian within the cap."""
+        """Largest j with A_j != 0, or None when not artinian within the cap.
+
+        Each generator row summing to zero means every generator vanishes at
+        (1, ..., 1), a common zero of I, so A is not artinian under any cap.
+        """
+        field = self.field
+        if all(
+            reduce(field.add, row.values(), field.zero) == field.zero
+            for row in self.gens.vectors()
+        ):
+            return None
         top = None
         for j in range(self.degree_cap + 1):
             h = self.hilbert(j)

@@ -185,10 +185,6 @@ def monomial(n, exps, field=QQ, coeff=None) -> Polynomial:
     return Polynomial(n, {tuple(exps): coeff if coeff is not None else field.one}, field)
 
 
-def dual_monomial(n, exps, field=QQ, coeff=None) -> DualElement:
-    return DualElement(n, {tuple(exps): coeff if coeff is not None else field.one}, field)
-
-
 def contract(f: Polynomial, g: DualElement) -> DualElement:
     """Contraction action of R on S, extended bilinearly from
     x^d o y^(e) = y^(e-d) when e-d >= 0 componentwise, else 0."""

@@ -20,19 +20,25 @@ from .poly import Polynomial, monomials_of_degree
 from .spans import RowSpace
 
 
-ORBIT_VISIT_LIMIT = 2_000_000
-
-
 def orbit_span(f: Polynomial) -> RowSpace:
-    """Span of the S_n-orbit of a homogeneous polynomial inside R_d.
+    """Span V of the S_n-orbit of a homogeneous polynomial inside R_d, as a
+    certified closure under the adjacent transpositions s_1..s_{n-1}.
 
-    Closure under the adjacent transpositions s_1..s_{n-1}, which generate
-    S_n, so no n! enumeration of permutations is ever materialized as such.
-    Over a prime field the closure iterates on reduced basis rows (entries
-    cannot grow).  Over the rationals that iteration compounds coefficient
-    size exponentially, so there the walk visits the orbit elements
-    themselves: every candidate is a permuted copy of f with the original
-    integer-sized coefficients, and reduced row entries stay minor-bounded.
+    The loop pops a queued vector and inserts its image under every s_i; an
+    image is queued only when its insert raised the dimension.  Proof that
+    the result is the orbit span: one vector of V is queued per dimension
+    raised, each independent of those queued before it, so the queued
+    vectors span V.  The image of every queued vector under every s_i was
+    inserted (an image skipped as already visited was inserted earlier), so
+    V is stable under s_1..s_{n-1}, which generate S_n, hence under S_n.  V
+    contains f and lies inside the orbit span, so V is the orbit span.  At
+    most 1 + (n-1)*dim V inserts are made, instead of n!.
+
+    What is queued depends on the characteristic.  Over a prime field the
+    new reduced row is queued; its entries cannot grow.  Over the rationals,
+    iterating on reduced rows compounds coefficient size, so the permuted
+    copy of f itself is queued: copies keep f's integer-sized coefficients.
+    A visited set there skips copies already inserted.
     """
     if f.is_zero():
         raise ConfigError("orbit span of the zero polynomial")
@@ -40,7 +46,7 @@ def orbit_span(f: Polynomial) -> RowSpace:
     n = f.n
     rs = RowSpace(n, d, f.field)
     # Index tables for the action of each adjacent transposition on the
-    # ambient monomial basis; candidates are then pure index relabelings.
+    # ambient monomial basis; images are then pure index relabelings.
     tables = []
     for i in range(n - 1):
         table = [0] * len(rs.basis)
@@ -50,57 +56,27 @@ def orbit_span(f: Polynomial) -> RowSpace:
             table[j] = rs.index[tuple(ne)]
         tables.append(table)
 
-    if f.field.characteristic:
-        _orbit_closure_on_rows(rs, rs.to_vector(f), tables)
-    else:
-        _orbit_walk_on_elements(rs, rs.to_vector(f), tables)
-    return rs
+    ech = rs.ech
+    queue_copies = not f.field.characteristic
+    visited = set()
+    queue = []
 
-
-def _orbit_closure_on_rows(rs: RowSpace, seed: dict, tables) -> None:
-    """Apply transpositions to reduced rows until the span is stable.
-
-    Queue snapshots: rows mutate under later back-eliminations, but each
-    mutated row is a combination of snapshotted ones, so closure of all
-    snapshots under the transpositions gives closure of the final span.
-    """
-    rs.add_vector(seed)
-    queue = rs.vectors()
-    while queue:
-        vec = queue.pop()
-        for table in tables:
-            image = {table[j]: c for j, c in vec.items()}
-            p = rs.ech.insert(image)
-            if p is not None:
-                queue.append(dict(rs.ech.rows[p]))
-
-
-def _orbit_walk_on_elements(rs: RowSpace, seed: dict, tables) -> None:
-    """Breadth-first walk of the orbit graph (nodes = permuted copies of f,
-    edges = adjacent transpositions), inserting every visited element."""
-    key0 = tuple(sorted(seed.items()))
-    visited = {key0}
-    queue = [seed]
-    rs.add_vector(seed)
-    full = rs.ambient_dim
-    while queue:
-        if rs.dim == full:
-            break
-        vec = queue.pop()
-        for table in tables:
-            image = {table[j]: c for j, c in vec.items()}
-            key = tuple(sorted(image.items()))
+    def insert(vec):
+        if queue_copies:
+            key = tuple(sorted(vec.items()))
             if key in visited:
-                continue
-            if len(visited) >= ORBIT_VISIT_LIMIT:
-                raise ConfigError(
-                    "orbit too large for exact-rational closure; "
-                    "use a prime field for instances of this size"
-                )
+                return
             visited.add(key)
-            queue.append(image)
-            rs.add_vector(image)
-    return None
+        p = ech.insert(vec)
+        if p is not None:
+            queue.append(vec if queue_copies else dict(ech.rows[p]))
+
+    insert(rs.to_vector(f))
+    while queue:
+        vec = queue.pop()
+        for table in tables:
+            insert({table[j]: c for j, c in vec.items()})
+    return rs
 
 
 @dataclass

@@ -110,8 +110,3 @@ def reduce_to_basis(vectors, degree: int, n=None, field=QQ, dual=False) -> RowSp
             raise ConfigError(f"element of degree {d}, expected {degree}")
         rs.add(v)
     return rs
-
-
-def empty_rowspace_like(element, degree: int) -> RowSpace:
-    dual = isinstance(element, DualElement)
-    return RowSpace(element.n, -degree if dual else degree, element.field, dual=dual)

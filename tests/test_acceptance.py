@@ -89,8 +89,14 @@ def test_criterion_07_duality():
     assert res.passed
 
 
-def test_criterion_08_golod_koszul():
-    res = report(verify.criterion_golod_koszul())
+@pytest.fixture(scope="module")
+def golod_koszul_result():
+    """The golod-koszul criterion, computed once for 08 and its xfail 08b."""
+    return verify.criterion_golod_koszul()
+
+
+def test_criterion_08_golod_koszul(golod_koszul_result):
+    res = report(golod_koszul_result)
     assert res.passed
     assert res.seconds < 300
 
@@ -106,9 +112,8 @@ def test_criterion_08_golod_koszul():
         "green in test_criterion_08_golod_koszul."
     ),
 )
-def test_criterion_08b_literal_golod_series():
-    res = verify.criterion_golod_koszul()
-    assert verify.literal_golod_check(res).passed
+def test_criterion_08b_literal_golod_series(golod_koszul_result):
+    assert verify.literal_golod_check(golod_koszul_result).passed
 
 
 def test_criterion_09_equivariant():

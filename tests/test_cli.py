@@ -98,6 +98,14 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_unreadable_poly_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code = main(["orbit-dim", "--poly", str(missing), "--n", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_failing_verdict_exits_nonzero(tmp_path, capsys):
     # a pure square is not generic: its orbit is the complete intersection
     # (x_1^2..x_n^2) whose table differs from the closed form

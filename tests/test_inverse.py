@@ -100,6 +100,17 @@ def test_classification_refused_when_not_artinian():
         classify(Q)
 
 
+def test_top_degree_refuses_common_zero_at_all_ones():
+    # f(1, ..., 1) = 0: (1, ..., 1) is a common zero of the whole orbit
+    f = parse_element("x1^2 - x2^2 + x1*x2 - x2*x3", n=3)
+    Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f), degree_cap=40)
+    assert Q.top_degree() is None
+    # answered from the generators alone, without building I_j up to the cap
+    assert set(Q._ideal) == {2}
+    # the shortcut agrees with the full scan of the Hilbert function
+    assert all(Q.hilbert(j) > 0 for j in range(Q.degree_cap + 1))
+
+
 def test_linear_relations_single_power():
     n, d = 4, 3
     F = [parse_element("y1^(3)", n=n)]

@@ -1,12 +1,14 @@
 """Orbit spans, the random sampler, the special construction, t-parameters."""
 
+import itertools
 from math import comb
 
 import pytest
 
 from psilab.fields import QQ, ConfigError, PrimeField
+from psilab.linalg import Echelon
 from psilab.partitions import monomial_type, partitions_of, subpartitions
-from psilab.poly import adjacent_transposition, parse_element
+from psilab.poly import Polynomial, adjacent_transposition, parse_element
 from psilab.psi import (
     PsiIdeal,
     admissible_binomial,
@@ -19,6 +21,7 @@ from psilab.psi import (
     orbit_span,
     sample_general_f,
 )
+from psilab.spans import RowSpace
 
 
 def test_orbit_span_of_power():
@@ -40,8 +43,6 @@ def test_orbit_span_cubic_example():
 
 
 def test_orbit_span_rejects_zero():
-    from psilab.poly import Polynomial
-
     with pytest.raises(ConfigError):
         orbit_span(Polynomial(2, {}, QQ))
 
@@ -52,6 +53,48 @@ def test_orbit_span_is_stable_under_transpositions():
     for vec in rs.elements():
         for i in range(3):
             assert rs.contains(vec.permuted(adjacent_transposition(4, i)))
+
+
+def _orbit_test_polys(field):
+    """Sampled f, x1^d and a binomial for n <= 5, d <= 3, plus the special
+    construction for d = 2 (which needs n = 8)."""
+    for n in range(2, 6):
+        for d in range(1, 4):
+            yield sample_general_f(n, d, seed=10 * n + d, field=field)
+            yield parse_element(f"x1^{d}", n=n, field=field)
+            rest = (0,) * (n - 2)
+            yield Polynomial(
+                n, {(d, 0) + rest: field.one, (d - 1, 1) + rest: field.neg(field.one)}, field
+            )
+    yield build_construction_f(2, field=field)[0]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1009)], ids=["QQ", "GF1009"])
+def test_orbit_span_equals_rref_of_all_permuted_copies(field, monkeypatch):
+    inserts = 0
+    insert = Echelon.insert
+
+    def counting_insert(self, vec):
+        nonlocal inserts
+        inserts += 1
+        return insert(self, vec)
+
+    for f in _orbit_test_polys(field):
+        oracle = RowSpace(f.n, f.degree(), field)
+        for sigma in itertools.permutations(range(f.n)):
+            oracle.add(f.permuted(sigma))
+        inserts = 0
+        with monkeypatch.context() as m:
+            m.setattr(Echelon, "insert", counting_insert)
+            rs = orbit_span(f)
+        # RREF is canonical, so equal spans have equal rows
+        assert rs.ech.rows == oracle.ech.rows, f
+        assert inserts <= 1 + (f.n - 1) * rs.dim, f
+
+
+def test_orbit_span_beyond_ten_factorial_over_q():
+    # 10! = 3628800 permuted copies, at most 1 + 9 * 54 inserts
+    assert orbit_span(sample_general_f(10, 2, 1)).dim == 54
 
 
 def test_orbit_span_agrees_between_fields():
