@@ -13,15 +13,7 @@ def main() -> int:
     names = sys.argv[1:] or None
     ok = True
     for res in run_suites(names):
-        print(f"== {res.name} ({res.seconds:.1f}s) {'PASS' if res.passed else 'FAIL'}")
-        for c in res.checks:
-            mark = "ok" if c.passed else ("known-defect" if c.known_defect else "FAIL")
-            line = f"   [{mark}] {c.name}"
-            if c.detail and not c.passed:
-                line += f" -- {c.detail}"
-            print(line)
-        for note in res.notes:
-            print(f"   note: {note}")
+        print(*res.render(), sep="\n")
         ok = ok and res.passed
     return 0 if ok else 1
 

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .fields import QQ, ConfigError, check_prime_field_bound, field_from_spec
 from .poly import element_from_json, format_element, parse_element
@@ -87,25 +87,17 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(v["pass"] for v in self.verdicts if not v.get("known_defect"))
+        return verify_mod.sound_checks_pass(self.verdicts)
 
     def verdict(self, name, ok, provenance, detail="", known_defect=False):
-        self.verdicts.append(
-            {
-                "name": name,
-                "pass": bool(ok),
-                "provenance": provenance,
-                "detail": detail,
-                "known_defect": known_defect,
-            }
-        )
+        self.verdicts.append(verify_mod.Check(name, bool(ok), provenance, detail, known_defect))
 
     def to_json(self) -> dict:
         return {
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
-            "verdicts": self.verdicts,
+            "verdicts": [v.to_json() for v in self.verdicts],
             "seconds": round(self.seconds, 3),
             "pass": self.passed,
         }
@@ -127,15 +119,14 @@ def _load_polynomial(args, field):
 
 
 def _emit(report: Report, args, text_lines):
-    report.seconds = report.seconds or 0.0
     if args.json:
         print(json.dumps(report.to_json(), indent=2, default=str))
     else:
         for line in text_lines:
             print(line)
         for v in report.verdicts:
-            mark = "PASS" if v["pass"] else ("KNOWN-DEFECT" if v.get("known_defect") else "FAIL")
-            print(f"[{mark}] {v['name']}" + (f" -- {v['detail']}" if v["detail"] else ""))
+            mark = "PASS" if v.passed else ("KNOWN-DEFECT" if v.known_defect else "FAIL")
+            print(f"[{mark}] {v.name}" + (f" -- {v.detail}" if v.detail else ""))
     return 0 if report.passed else 1
 
 
@@ -381,19 +372,17 @@ def cmd_restrict(args):
 
 def cmd_verify_paper(args):
     names = None if args.suite in (None, "all") else [args.suite]
-    results = verify_mod.run_suites(names)
     rep = Report("verify-paper", {"suite": args.suite or "all"})
-    lines = []
     t0 = time.time()
+    results = verify_mod.run_suites(names)
+    rep.seconds = time.time() - t0
+    lines = []
     for res in results:
-        for c in res.checks:
-            rep.verdict(f"{res.name}: {c.name}", c.passed, c.provenance, c.detail, c.known_defect)
+        rep.verdicts += [replace(c, name=f"{res.name}: {c.name}") for c in res.checks]
         for note in res.notes:
             lines.append(f"note [{res.name}]: {note}")
         lines.append(f"suite {res.name}: {'PASS' if res.passed else 'FAIL'} ({res.seconds:.1f}s)")
-    rep.seconds = time.time() - t0
-    code = _emit(rep, args, lines)
-    return code
+    return _emit(rep, args, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

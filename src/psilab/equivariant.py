@@ -18,7 +18,7 @@ from .homology import (
     koszul_component,
     koszul_differential_columns,
 )
-from .linalg import Echelon, SpanSolver, kernel_of_columns, matrix_times_vector
+from .linalg import Echelon, coordinates, kernel_of_columns, matrix_times_vector
 from .partitions import check_partition, is_partition, partitions_of
 
 
@@ -246,27 +246,27 @@ def koszul_group_matrix(M: GradedModule, module_action, sigma, i: int, j: int):
     return cols
 
 
-def _trace_on_basis(field, basis_vectors, action_columns):
-    if not basis_vectors:
-        return field.zero
-    solver = SpanSolver(field, basis_vectors)
+def _trace_on_basis(field, basis, action_columns):
+    """Trace on an invariant subspace given as a (vectors, keys) pair: the
+    sum of each image's coordinate on its own basis vector."""
+    vectors, keys = basis
     t = field.zero
-    for idx, b in enumerate(basis_vectors):
+    for i, b in enumerate(vectors):
         img = matrix_times_vector(field, action_columns, b)
-        coords = solver.coords(img)
-        t = field.add(t, coords.get(idx, field.zero))
+        t = field.add(t, coordinates(field, vectors, keys, img).get(i, field.zero))
     return t
 
 
 def _homology_bases(M: GradedModule, i: int, j: int):
-    """A kernel basis of d_{i,j} and an image basis of d_{i+1,j}."""
+    """(vectors, keys) pairs: a kernel basis of d_{i,j} keyed by free
+    columns, and an image basis of d_{i+1,j} keyed by pivots."""
     field = M.field
     cols_i = koszul_differential_columns(M, i, j)
     ker = kernel_of_columns(field, cols_i) if cols_i else []
     img_ech = Echelon(field)
     for c in koszul_differential_columns(M, i + 1, j):
         img_ech.insert(c)
-    return ker, img_ech.row_vectors()
+    return (ker, [max(v) for v in ker]), (img_ech.row_vectors(), img_ech.pivots())
 
 
 def tor_trace(M: GradedModule, module_action, sigma, i: int, j: int, bases=None):
@@ -344,16 +344,15 @@ def inverse_system_module_action(Q):
     from .inverse import inverse_system_component
 
     comps = {}
-    solvers = {}
 
     def act(sigma, deg):
         j = -deg
         if j not in comps:
             comps[j] = inverse_system_component(Q, j)
-            solvers[j] = SpanSolver(Q.field, comps[j].vectors())
         comp = comps[j]
+        vectors, keys = comp.vectors(), comp.pivot_columns()
         cols = []
-        for vec in comp.vectors():
+        for vec in vectors:
             img = {}
             for idx, c in vec.items():
                 e = comp.basis[idx]
@@ -361,7 +360,7 @@ def inverse_system_module_action(Q):
                 for i2, ei in enumerate(e):
                     ne[sigma[i2]] = ei
                 img[comp.index[tuple(ne)]] = c
-            cols.append(solvers[j].coords(img))
+            cols.append(coordinates(Q.field, vectors, keys, img))
         return cols
 
     return act

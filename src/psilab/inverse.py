@@ -10,7 +10,7 @@ from functools import reduce
 from math import comb
 
 from .fields import QQ, ConfigError
-from .linalg import kernel_of_columns
+from .linalg import coordinates, kernel_of_columns
 from .poly import DualElement, Polynomial, monomials_of_degree
 from .psi import PsiIdeal
 from .spans import RowSpace
@@ -181,27 +181,20 @@ def socle_component_vectors(Q: QuotientAlgebra, i: int) -> list[dict]:
 
 
 def hilbert_and_socle(Q: QuotientAlgebra) -> HilbertSocle:
-    hf = []
-    artinian = False
-    for j in range(Q.degree_cap + 1):
-        h = Q.hilbert(j)
-        hf.append(h)
-        if h == 0:
-            artinian = True
-            break
-    t = Q.gen_degree if Q.gens.dim > 0 else None
-    if t is None:
+    if Q.gens.dim == 0:
         raise ConfigError("zero ideal: no initial degree")
-    if not artinian:
+    t = Q.gen_degree
+    top = Q.top_degree()
+    if top is None:
         return HilbertSocle(
-            hilbert=hf,
+            hilbert=[Q.hilbert(j) for j in range(t + 1)],
             socle={},
             initial_degree=t,
             top_socle_degree=None,
             artinian=False,
-            status=f"possibly non-artinian: HF nonzero through degree cap {Q.degree_cap}",
+            status=f"quotient is not artinian within its degree cap {Q.degree_cap}",
         )
-    top = len(hf) - 2  # last degree with nonzero HF
+    hf = [Q.hilbert(j) for j in range(top + 1)] + [0] * (Q.degree_cap - top)
     socle = {}
     for i in range(top + 1):
         e = len(socle_component_vectors(Q, i))
@@ -210,8 +203,6 @@ def hilbert_and_socle(Q: QuotientAlgebra) -> HilbertSocle:
     s = max(socle) if socle else 0
     if not t <= s + 1:
         raise AssertionError("initial degree exceeds top socle degree + 1")
-    while len(hf) <= Q.degree_cap:
-        hf.append(0)
     return HilbertSocle(
         hilbert=hf, socle=socle, initial_degree=t, top_socle_degree=s, artinian=True
     )
@@ -397,19 +388,18 @@ def module_of_inverse_system(Q: QuotientAlgebra):
     """I^perp as a finite-length graded module in degrees -s..0; the variable
     action is contraction expressed in the computed component bases."""
     from .homology import GradedModule
-    from .linalg import SpanSolver
 
     top = Q.top_degree()
     if top is None:
         raise ConfigError("quotient is not artinian within its degree cap")
     comps = {j: inverse_system_component(Q, j) for j in range(top + 1)}
     dims = {-j: comps[j].dim for j in range(top + 1)}
-    solvers = {j: SpanSolver(Q.field, comps[j].vectors()) for j in range(top + 1)}
     action = {}
     for j in range(1, top + 1):
-        src = comps[j]
+        src, dst = comps[j], comps[j - 1]
+        dst_vectors, dst_keys = dst.vectors(), dst.pivot_columns()
         # exponent-shift tables for contraction by each variable
-        dst_index = {e: i for i, e in enumerate(comps[j - 1].basis)}
+        dst_index = {e: i for i, e in enumerate(dst.basis)}
         for k in range(Q.n):
             cols = []
             for vec in src.vectors():
@@ -421,7 +411,6 @@ def module_of_inverse_system(Q: QuotientAlgebra):
                     ne = list(e)
                     ne[k] -= 1
                     img[dst_index[tuple(ne)]] = c
-                coords = solvers[j - 1].coords(img)
-                cols.append(coords)
+                cols.append(coordinates(Q.field, dst_vectors, dst_keys, img))
             action[(k, -j)] = cols
     return GradedModule(Q.field, Q.n, dims, action)

@@ -1,5 +1,5 @@
 """Sparse exact linear algebra: incremental reduced row echelon, kernels,
-span solving.
+coordinates read off key columns.
 
 Vectors are dicts {column_index: coefficient} with no stored zeros; all
 arithmetic goes through a field object from psilab.fields.  The echelon is
@@ -7,7 +7,10 @@ kept fully reduced (RREF): each stored row has its pivot column as the
 smallest support column with coefficient one, and no other row's pivot
 appears in any row's support.  Full reduction is what keeps rational entries
 at minor size instead of compounding along reduction chains, and it makes
-row tails of low-codimension spaces as sparse as the codimension.
+row tails of low-codimension spaces as sparse as the codimension.  It also
+means the rows, and the kernel vectors read off them, form a unit matrix on
+their key columns, so coordinates in either basis need no elimination: see
+`coordinates`.
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ class Echelon:
 
     def kernel_basis(self, ncols: int) -> list[dict]:
         """Basis of {x : row . x = 0 for every stored row}: one vector per
-        free column, read directly off the reduced rows."""
+        free column, read directly off the reduced rows.  Each vector is
+        keyed by its free column, which is its largest column (see
+        `coordinates`)."""
         field = self.field
         rows = self.rows
         basis = []
@@ -104,6 +109,7 @@ class Echelon:
         return basis
 
     def row_vectors(self) -> list[dict]:
+        """The reduced rows in pivot order; row i is keyed by pivots()[i]."""
         return [dict(self.rows[p]) for p in sorted(self.rows)]
 
 
@@ -131,98 +137,6 @@ def kernel_of_columns(field, columns) -> list[dict]:
     return kernel_of_rows(field, rows_by_target.values(), len(columns))
 
 
-class SpanSolver:
-    """Express vectors as combinations of a fixed generating list.
-
-    Generators may be dependent; `coords` returns one valid coordinate
-    vector (dict generator_index -> coefficient) and raises ValueError for
-    vectors outside the span.
-    """
-
-    def __init__(self, field, generators):
-        self.field = field
-        self.ngens = len(generators)
-        self.ech = Echelon(field)
-        # parallel echelon over "generator coordinates": same row operations
-        # applied to identity rows, giving each stored row's expression.
-        self.reps = {}  # pivot -> rep dict over generator indices
-        for i, g in enumerate(generators):
-            self._insert(g, {i: field.one})
-
-    @property
-    def dim(self):
-        return len(self.ech.rows)
-
-    def _reduce(self, vec, rep):
-        field = self.field
-        zero = field.zero
-        rows = self.ech.rows
-        out = {c: v for c, v in vec.items() if v != zero}
-        rep = dict(rep)
-        for c in [c for c in out if c in rows]:
-            coeff = out.pop(c)
-            for cc, vv in rows[c].items():
-                if cc == c:
-                    continue
-                newv = field.sub(out.get(cc, zero), field.mul(coeff, vv))
-                if newv == zero:
-                    out.pop(cc, None)
-                else:
-                    out[cc] = newv
-            for gi, gv in self.reps[c].items():
-                newv = field.sub(rep.get(gi, zero), field.mul(coeff, gv))
-                if newv == zero:
-                    rep.pop(gi, None)
-                else:
-                    rep[gi] = newv
-        return out, rep
-
-    def _insert(self, vec, rep):
-        field = self.field
-        res, rep = self._reduce(vec, rep)
-        if not res:
-            return None
-        p = min(res)
-        inv = field.inv(res[p])
-        row = {c: field.mul(inv, v) for c, v in res.items()}
-        rrep = {gi: field.mul(inv, gv) for gi, gv in rep.items()}
-        # keep RREF: clear the new pivot from existing rows and reps
-        zero = field.zero
-        for q, other in self.ech.rows.items():
-            coeff = other.get(p)
-            if coeff is None:
-                continue
-            other.pop(p)
-            for cc, vv in row.items():
-                if cc == p:
-                    continue
-                newv = field.sub(other.get(cc, zero), field.mul(coeff, vv))
-                if newv == zero:
-                    other.pop(cc, None)
-                else:
-                    other[cc] = newv
-            orep = self.reps[q]
-            for gi, gv in rrep.items():
-                newv = field.sub(orep.get(gi, zero), field.mul(coeff, gv))
-                if newv == zero:
-                    orep.pop(gi, None)
-                else:
-                    orep[gi] = newv
-        self.ech.rows[p] = row
-        self.reps[p] = rrep
-        return p
-
-    def coords(self, vec) -> dict:
-        res, rep = self._reduce(vec, {})
-        if res:
-            raise ValueError("vector not in span")
-        return {gi: self.field.neg(gv) for gi, gv in rep.items()}
-
-    def contains(self, vec) -> bool:
-        res, _ = self._reduce(vec, {})
-        return not res
-
-
 def matrix_times_vector(field, columns, x: dict) -> dict:
     """Image of coordinate vector x under the map with the given columns."""
     zero = field.zero
@@ -238,20 +152,30 @@ def matrix_times_vector(field, columns, x: dict) -> dict:
     return out
 
 
-def trace_on_span(field, basis_vectors, image_vectors):
-    """Trace of the operator mapping basis_vectors[i] to image_vectors[i].
+def coordinates(field, basis, keys, vec: dict) -> dict:
+    """Coordinates {i: c_i} with vec = sum c_i basis[i], read off key columns.
 
-    The span of basis_vectors must be invariant (every image lies in it);
-    basis_vectors must be linearly independent.
+    keys[i] is a column where basis[i] is 1 and every other basis vector is
+    0, so c_i = vec[keys[i]] for any vec in the span.  The echelon supplies
+    two such bases:
+
+    - RREF rows (`Echelon.row_vectors`) keyed by their pivots: a row is 1 at
+      its pivot and no pivot lies in another row's support.
+    - Kernel vectors (`Echelon.kernel_basis`, `kernel_of_columns`) keyed by
+      their free column f, which is their largest column: the vector for f
+      is 1 at f and carries -row_p[f] at each pivot p whose row contains f,
+      and p < f because a pivot is the smallest column of its row.  Its
+      support holds no other free column, so every other kernel vector is 0
+      at f.
+
+    Membership is checked by rebuilding vec from the coordinates, so what is
+    returned is exact: a vector outside the span, or keys that read wrong
+    coordinates, raise ValueError.
     """
-    solver = SpanSolver(field, basis_vectors)
-    if solver.dim != len(basis_vectors):
-        raise ValueError("basis vectors are dependent")
-    t = field.zero
-    for i, img in enumerate(image_vectors):
-        c = solver.coords(img)
-        t = field.add(t, c.get(i, field.zero))
-    return t
+    coords = {i: vec[k] for i, k in enumerate(keys) if k in vec}
+    if matrix_times_vector(field, basis, coords) != vec:
+        raise ValueError("vector not in span")
+    return coords
 
 
 def determinant(field, matrix):

@@ -229,10 +229,17 @@ def adjacent_transposition(n, i):
 
 # ---------------------------------------------------------------------------
 # Text and JSON I/O.  Text terms look like `3*x1^2*x3 - 1/2*x2*x4`; dual
-# elements use `y1^(2)*y3`.
+# elements use `y1^(2)*y3`.  The whole text must match the grammar: terms
+# joined by single signs, a term being a coefficient digits[/digits] or a
+# factor followed by *factor..., a factor being x or y, an index >= 1 and an
+# optional ^e or ^(e).  Whitespace may only sit next to an operator.
 
-_FACTOR_RE = re.compile(r"([xy])(\d+)(?:\^(?:\((\d+)\)|(\d+)))?")
-_COEFF_RE = re.compile(r"[+-]?\s*\d+(?:/\d+)?")
+_FACTOR = r"[xy][1-9]\d*(?:\^(?:\d+|\(\d+\)))?"
+_TERM = rf"(?:\d+(?:/\d+)?|{_FACTOR})(?:\*{_FACTOR})*"
+_ELEMENT_RE = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*", re.ASCII)
+_SIGNED_TERM_RE = re.compile(rf"([+-]?)({_TERM})", re.ASCII)
+_COEFF_RE = re.compile(r"\d+(?:/\d+)?", re.ASCII)
+_FACTOR_RE = re.compile(r"([xy])(\d+)\^?\(?(\d*)", re.ASCII)
 
 
 def format_element(v) -> str:
@@ -268,42 +275,40 @@ def format_element(v) -> str:
 
 
 def parse_element(text: str, n: int | None = None, field=QQ, dual: bool | None = None):
-    """Parse the text syntax; n defaults to the largest variable index seen."""
-    s = text.replace("-", "+-").replace("**", "^")
-    chunks = [c.strip() for c in s.split("+") if c.strip()]
+    """Parse the text syntax; n defaults to the largest variable index seen.
+
+    Text outside the grammar (decimals, exponent notation, index 0, chained
+    powers, doubled signs, stray characters) raises ConfigError.
+    """
+    s = text.replace("**", "^")
+    compact = re.sub(r"\s+", "", s)
+    if re.search(r"[\w)]\s+[\w(]", s) or not _ELEMENT_RE.fullmatch(compact):
+        raise ConfigError(
+            f"cannot parse {text!r}: expected terms like 3*x1^2*x3 - 1/2*x2*x4 or y1^(2)*y3"
+        )
     raw_terms = []
     letters = set()
-    max_index = 0
-    for chunk in chunks:
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        coeff_str = None
-        m = re.match(r"^(\d+(?:/\d+)?)\s*\*?", chunk)
-        rest = chunk
-        if m and not re.match(r"^[xy]", chunk):
-            coeff_str = m.group(1)
-            rest = chunk[m.end():]
+    for sign, term in _SIGNED_TERM_RE.findall(compact):
+        coeff = _COEFF_RE.match(term)
         exps = {}
-        for fm in _FACTOR_RE.finditer(rest):
-            letters.add(fm.group(1))
-            idx = int(fm.group(2))
-            e = int(fm.group(3) or fm.group(4) or 1)
-            exps[idx - 1] = exps.get(idx - 1, 0) + e
-            max_index = max(max_index, idx)
-        raw_terms.append((sign, coeff_str, exps))
+        for letter, idx, e in _FACTOR_RE.findall(term):
+            letters.add(letter)
+            exps[int(idx) - 1] = exps.get(int(idx) - 1, 0) + int(e or 1)
+        raw_terms.append((sign, coeff.group() if coeff else None, exps))
     if dual is None:
         if "x" in letters and "y" in letters:
             raise ConfigError("mixed x and y variables in one element")
         dual = "y" in letters
     if n is None:
-        n = max_index if max_index else 1
+        n = max((i + 1 for _, _, exps in raw_terms for i in exps), default=1)
     cls = DualElement if dual else Polynomial
     out = cls(n, {}, field)
     for sign, coeff_str, exps in raw_terms:
-        c = field.parse(coeff_str) if coeff_str is not None else field.one
-        if sign < 0:
+        try:
+            c = field.parse(coeff_str) if coeff_str is not None else field.one
+        except ZeroDivisionError:
+            raise ConfigError(f"coefficient {coeff_str} is not defined in {field!r}") from None
+        if sign == "-":
             c = field.neg(c)
         e = [0] * n
         for i, ei in exps.items():

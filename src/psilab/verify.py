@@ -60,11 +60,28 @@ from .equivariant import (
 
 @dataclass
 class Check:
+    """One verdict, shared by the criterion suites and the CLI reports."""
+
     name: str
     passed: bool
     provenance: str
     detail: str = ""
     known_defect: bool = False
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "pass": self.passed,
+            "provenance": self.provenance,
+            "detail": self.detail,
+            "known_defect": self.known_defect,
+        }
+
+
+def sound_checks_pass(checks) -> bool:
+    """Verdict over the sound checks; checks recording a documented
+    source-display defect are reported but do not gate."""
+    return all(c.passed for c in checks if not c.known_defect)
 
 
 @dataclass
@@ -76,12 +93,20 @@ class CriterionResult:
 
     @property
     def passed(self) -> bool:
-        """Verdict over the sound checks; checks recording a documented
-        source-display defect are reported but do not gate."""
-        return all(c.passed for c in self.checks if not c.known_defect)
+        return sound_checks_pass(self.checks)
 
     def add(self, name, passed, provenance, detail="", known_defect=False):
         self.checks.append(Check(name, bool(passed), provenance, detail, known_defect))
+
+    def render(self) -> list[str]:
+        """A status line, then one line per check and per note."""
+        lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name} ({self.seconds:.1f}s)"]
+        for c in self.checks:
+            mark = "ok" if c.passed else ("known-defect" if c.known_defect else "FAIL")
+            detail = f" -- {c.detail}" if c.detail and not c.passed else ""
+            lines.append(f"    [{mark}] {c.name}{detail}")
+        lines += [f"    note: {note}" for note in self.notes]
+        return lines
 
 
 GOLDEN_CUBIC_N5 = {

@@ -18,13 +18,7 @@ from psilab.psi import PsiIdeal, sample_general_f
 
 
 def report(res: verify.CriterionResult):
-    status = "PASS" if res.passed else "FAIL"
-    print(f"\n[{status}] {res.name} ({res.seconds:.1f}s)")
-    for c in res.checks:
-        mark = "ok" if c.passed else ("known-defect" if c.known_defect else "FAIL")
-        print(f"    [{mark}] {c.name}" + (f" -- {c.detail}" if c.detail and not c.passed else ""))
-    for note in res.notes:
-        print(f"    note: {note}")
+    print("", *res.render(), sep="\n")
     return res
 
 

@@ -93,6 +93,13 @@ def test_verify_paper_single_suite(capsys):
     assert all(v["pass"] for v in rep["verdicts"])
 
 
+def test_verify_paper_reports_suite_time(capsys):
+    code, rep = run_json(capsys, ["verify-paper", "--suite", "restrict"])
+    assert code == 0
+    assert rep["seconds"] > 0
+    assert set(rep["verdicts"][0]) == {"name", "pass", "provenance", "detail", "known_defect"}
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["orbit-dim"])  # no polynomial source given
     assert code == 2

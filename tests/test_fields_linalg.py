@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from psilab.fields import QQ, ConfigError, PrimeField, field_from_spec, is_prime
 from psilab.linalg import (
     Echelon,
-    SpanSolver,
+    coordinates,
     determinant,
     kernel_of_columns,
     kernel_of_rows,
     matrix_times_vector,
     rank_of_vectors,
-    trace_on_span,
 )
 
 
@@ -84,24 +83,38 @@ def test_kernel_of_columns():
     assert img == {}
 
 
-def test_span_solver_coords():
-    gens = dense_to_sparse([[1, 1, 0], [0, 1, 1]])
-    solver = SpanSolver(QQ, gens)
-    coords = solver.coords({0: Fraction(2), 1: Fraction(3), 2: Fraction(1)})
-    rebuilt = {}
-    for gi, c in coords.items():
-        for col, v in gens[gi].items():
-            rebuilt[col] = rebuilt.get(col, 0) + c * v
-    assert {k: v for k, v in rebuilt.items() if v} == {0: 2, 1: 3, 2: 1}
-    with pytest.raises(ValueError):
-        solver.coords({2: Fraction(1), 0: Fraction(-1), 1: Fraction(1)})
-
-
-def test_trace_on_span():
-    # operator swapping two independent basis vectors has trace 0
-    b = dense_to_sparse([[1, 0], [0, 1]])
-    assert trace_on_span(QQ, b, [b[1], b[0]]) == 0
-    assert trace_on_span(QQ, b, b) == 2
+@pytest.mark.parametrize("field", [QQ, PrimeField(1009)], ids=["QQ", "GF1009"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_coordinates_read_off_key_columns(field, data):
+    ncols = data.draw(st.integers(min_value=1, max_value=7), label="ncols")
+    entry = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5))
+    dense = data.draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6),
+        label="matrix",
+    )
+    ech = Echelon(field)
+    for r in dense:
+        ech.insert({j: field.from_int(v) for j, v in enumerate(r) if v})
+    kernel = ech.kernel_basis(ncols)
+    bases = [
+        (ech.row_vectors(), ech.pivots()),
+        (kernel, [max(v) for v in kernel]),
+    ]
+    coeff = st.integers(min_value=-9, max_value=9).map(field.from_int)
+    for vectors, keys in bases:
+        cs = data.draw(st.lists(coeff, min_size=len(vectors), max_size=len(vectors)))
+        want = {i: c for i, c in enumerate(cs) if c != field.zero}
+        vec = matrix_times_vector(field, vectors, want)
+        assert coordinates(field, vectors, keys, vec) == want
+        # agreeing with a member on every key column is not enough
+        for c in sorted(set(range(ncols)) - set(keys)):
+            off = dict(vec)
+            off[c] = field.add(off.get(c, field.zero), field.one)
+            if off[c] == field.zero:
+                del off[c]
+            with pytest.raises(ValueError):
+                coordinates(field, vectors, keys, off)
 
 
 def test_determinant():

@@ -111,6 +111,16 @@ def test_top_degree_refuses_common_zero_at_all_ones():
     assert all(Q.hilbert(j) > 0 for j in range(Q.degree_cap + 1))
 
 
+def test_classify_refuses_common_zero_without_building_past_d():
+    d = 3
+    f = parse_element("x1^3 - x2^3 + x1*x2*x3 - x2*x3*x4", n=4)
+    Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f))
+    assert not hilbert_and_socle(Q).artinian
+    with pytest.raises(ConfigError, match="classification refused"):
+        classify(Q)
+    assert max(Q._ideal) <= d
+
+
 def test_linear_relations_single_power():
     n, d = 4, 3
     F = [parse_element("y1^(3)", n=n)]

@@ -204,6 +204,42 @@ def test_text_roundtrip():
     assert parse_element(format_element(g), n=4) == g
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x0", "2.5*x1", "1e3*x1", "x1^2^3", "-x1 - -x2", "abc"],
+    ids=["index-0", "decimal", "exponent-notation", "chained-power", "double-sign", "stray-letters"],
+)
+def test_misread_text_is_a_config_error(text):
+    with pytest.raises(ConfigError):
+        parse_element(text, n=3)
+
+
+def test_accepted_text_syntax():
+    assert parse_element("x1**2 - 3", n=2) == parse_element("x1^2 - 3", n=2)
+    assert parse_element("y1^(2)*y3", n=3).terms == {(2, 0, 1): 1}
+    assert parse_element("-1/2", n=2).terms == {(0, 0): Fraction(-1, 2)}
+
+
+@st.composite
+def elements(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(1009)]))
+    cls = draw(st.sampled_from([Polynomial, DualElement]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    if field == QQ:
+        coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    else:
+        coeff = st.integers(min_value=0, max_value=1008)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    return cls(n, draw(st.dictionaries(exps, coeff, max_size=5)), field)
+
+
+@given(elements())
+@settings(max_examples=100, deadline=None)
+def test_parse_inverts_format(v):
+    dual = isinstance(v, DualElement)
+    assert parse_element(format_element(v), n=v.n, field=v.field, dual=dual) == v
+
+
 def test_json_roundtrip():
     f = parse_element("3*x1^2*x3 - 1/2*x2*x4", n=4)
     assert element_from_json(f.to_json()) == f
