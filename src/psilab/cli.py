@@ -21,6 +21,7 @@ from .inverse import (
     module_of_quotient,
 )
 from .homology import (
+    ResourceLimit,
     closed_form_b_variants,
     closed_form_betti,
     koszul_betti,
@@ -119,6 +120,7 @@ def _load_polynomial(args, field):
 
 
 def _emit(report: Report, args, text_lines):
+    report.seconds = time.perf_counter() - args.started
     if args.json:
         print(json.dumps(report.to_json(), indent=2, default=str))
     else:
@@ -175,11 +177,9 @@ def cmd_construct(args):
 def cmd_orbit_dim(args):
     cfg = RunConfig.from_args(args)
     f = _load_polynomial(args, cfg.field)
-    t0 = time.time()
     ps = PsiIdeal.from_polynomial(f)
     rep = Report("orbit-dim", cfg.echo(n=f.n, degree=f.degree()))
     rep.results["dimension"] = ps.minimal_generator_count
-    rep.seconds = time.time() - t0
     return _emit(rep, args, [f"dim span(orbit) = {ps.minimal_generator_count}"])
 
 
@@ -232,7 +232,6 @@ def cmd_betti(args):
     cfg = RunConfig.from_args(args)
     f = _load_polynomial(args, cfg.field)
     rep = Report("betti", cfg.echo(n=f.n, degree=f.degree(), mode=args.mode))
-    t0 = time.time()
     lines = []
     oracle = formula = None
     if args.mode in ("oracle", "both"):
@@ -247,7 +246,6 @@ def cmd_betti(args):
         lines += ["closed form:", formula.render()]
     if args.mode == "both":
         rep.verdict("oracle == formula", oracle == formula, "oracle vs formula")
-    rep.seconds = time.time() - t0
     return _emit(rep, args, lines)
 
 
@@ -255,9 +253,9 @@ def cmd_golod_check(args):
     cfg = RunConfig.from_args(args)
     f = _load_polynomial(args, cfg.field)
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f), cfg.degree_cap)
-    t0 = time.time()
-    table = koszul_betti(module_of_quotient(Q))
-    betti_k = residue_field_resolution(Q, max_i=args.max_i)
+    A = module_of_quotient(Q)
+    table = koszul_betti(A)
+    betti_k = residue_field_resolution(A, max_i=args.max_i)
     totals = {}
     for (i, j), v in betti_k.items():
         totals[i] = totals.get(i, 0) + v
@@ -274,7 +272,6 @@ def cmd_golod_check(args):
         rep.verdict("Golod: k-resolution attains the Serre bound", got == bound, "oracle vs formula")
     if d == 2:
         rep.verdict("Koszul: beta^A_{i,j}(k) = 0 for i != j in window", diagonal, "oracle")
-    rep.seconds = time.time() - t0
     lines = [
         f"beta^A_i(k) totals: {got}",
         f"Golod bound coefficients: {bound}",
@@ -297,7 +294,6 @@ def cmd_linrel(args):
         "linrel",
         cfg.echo(t={str(k): str(v) for k, v in t.items()} or "zero"),
     )
-    t0 = time.time()
     system = build_full_system(t, args.n, args.d, field)
     kernel = system.kernel()
     rep.results["full_system_rows"] = len(system.rows)
@@ -322,7 +318,6 @@ def cmd_linrel(args):
         "oracle vs formula",
         f"dim {len(kernel)}",
     )
-    rep.seconds = time.time() - t0
     lines = [
         f"full system: {len(system.rows)} x {len(system.columns)}, kernel dim {len(kernel)}",
         f"reduced matrix rank {ap.rank}, solution dim {ap.solution_dim}",
@@ -339,7 +334,6 @@ def cmd_equivariant(args):
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f), cfg.degree_cap)
     M = module_of_quotient(Q)
     act = quotient_module_action(Q)
-    t0 = time.time()
     chi = tor_character(M, act, args.i, args.j, validate=True)
     dec = specht_decompose(chi)
     table = koszul_betti(M)
@@ -352,7 +346,6 @@ def cmd_equivariant(args):
         dec.dimension() == table.get(args.i, args.j),
         "oracle",
     )
-    rep.seconds = time.time() - t0
     lines = [f"Tor_{args.i}(A,k)_{args.j}:"] + [
         f"  Sp_{list(lam)} ^ {m}" for lam, m in dec.nonzero().items()
     ]
@@ -373,9 +366,7 @@ def cmd_restrict(args):
 def cmd_verify_paper(args):
     names = None if args.suite in (None, "all") else [args.suite]
     rep = Report("verify-paper", {"suite": args.suite or "all"})
-    t0 = time.time()
     results = verify_mod.run_suites(names)
-    rep.seconds = time.time() - t0
     lines = []
     for res in results:
         rep.verdicts += [replace(c, name=f"{res.name}: {c.name}") for c in res.checks]
@@ -477,12 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exit codes: 0 every verdict passes, 1 a verdict
+    fails, 2 usage or configuration error, 3 a resource limit was hit."""
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
+    args.started = started
     try:
         return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

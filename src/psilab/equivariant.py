@@ -257,35 +257,24 @@ def _trace_on_basis(field, basis, action_columns):
     return t
 
 
-def _homology_bases(M: GradedModule, i: int, j: int):
+def _homology_bases(field, d_cols, d_next_cols):
     """(vectors, keys) pairs: a kernel basis of d_{i,j} keyed by free
     columns, and an image basis of d_{i+1,j} keyed by pivots."""
-    field = M.field
-    cols_i = koszul_differential_columns(M, i, j)
-    ker = kernel_of_columns(field, cols_i) if cols_i else []
+    ker = kernel_of_columns(field, d_cols) if d_cols else []
     img_ech = Echelon(field)
-    for c in koszul_differential_columns(M, i + 1, j):
+    for c in d_next_cols:
         img_ech.insert(c)
     return (ker, [max(v) for v in ker]), (img_ech.row_vectors(), img_ech.pivots())
 
 
-def tor_trace(M: GradedModule, module_action, sigma, i: int, j: int, bases=None):
-    """Trace of sigma on H_i(Koszul x M)_j: trace on a kernel basis minus
-    trace on an image basis (both sigma-invariant subspaces)."""
-    field = M.field
-    ker, img = bases if bases is not None else _homology_bases(M, i, j)
-    g = koszul_group_matrix(M, module_action, sigma, i, j)
-    t_ker = _trace_on_basis(field, ker, g)
-    t_img = _trace_on_basis(field, img, g)
-    return field.sub(t_ker, t_img)
+def _trace_on_homology(field, bases, g):
+    """Trace of the group matrix g on homology: trace on the kernel basis
+    minus trace on the image basis (both g-invariant subspaces)."""
+    ker, img = bases
+    return field.sub(_trace_on_basis(field, ker, g), _trace_on_basis(field, img, g))
 
 
-def validate_equivariance(M: GradedModule, module_action, sigma, i: int, j: int) -> None:
-    """Check sigma commutes with the differential at (i, j)."""
-    field = M.field
-    d_cols = koszul_differential_columns(M, i, j)
-    g_src = koszul_group_matrix(M, module_action, sigma, i, j)
-    g_tgt = koszul_group_matrix(M, module_action, sigma, i - 1, j)
+def _check_commutes(field, d_cols, g_src, g_tgt, i: int, j: int) -> None:
     for s in range(len(d_cols)):
         g_after_d = matrix_times_vector(field, g_tgt, d_cols[s])
         d_after_g = matrix_times_vector(field, d_cols, g_src[s])
@@ -295,20 +284,51 @@ def validate_equivariance(M: GradedModule, module_action, sigma, i: int, j: int)
             )
 
 
+def tor_trace(M: GradedModule, module_action, sigma, i: int, j: int):
+    """Trace of sigma on H_i(Koszul x M)_j."""
+    bases = _homology_bases(
+        M.field,
+        koszul_differential_columns(M, i, j),
+        koszul_differential_columns(M, i + 1, j),
+    )
+    g = koszul_group_matrix(M, module_action, sigma, i, j)
+    return _trace_on_homology(M.field, bases, g)
+
+
+def validate_equivariance(M: GradedModule, module_action, sigma, i: int, j: int) -> None:
+    """Check sigma commutes with the differential at (i, j)."""
+    _check_commutes(
+        M.field,
+        koszul_differential_columns(M, i, j),
+        koszul_group_matrix(M, module_action, sigma, i, j),
+        koszul_group_matrix(M, module_action, sigma, i - 1, j),
+        i,
+        j,
+    )
+
+
 def tor_character(
     M: GradedModule, module_action, i: int, j: int, validate: bool = False
 ) -> ClassFunction:
     """Character of S_n on Tor_i(M, k)_j, one canonical representative per
-    cycle type (class-function values are representative independent)."""
+    cycle type (class-function values are representative independent).
+
+    The differential and the homology bases are built once; each cycle
+    type's matrix on (Lambda^i x M)_j serves both the equivariance check and
+    the trace."""
     if M.field != QQ:
         raise ConfigError("characters are computed over the rationals")
-    bases = _homology_bases(M, i, j)
+    field = M.field
+    d_cols = koszul_differential_columns(M, i, j)
+    bases = _homology_bases(field, d_cols, koszul_differential_columns(M, i + 1, j))
     values = {}
     for mu in partitions_of(M.n):
         sigma = cycle_type_representative(mu)
+        g = koszul_group_matrix(M, module_action, sigma, i, j)
         if validate:
-            validate_equivariance(M, module_action, sigma, i, j)
-        values[mu] = tor_trace(M, module_action, sigma, i, j, bases)
+            g_tgt = koszul_group_matrix(M, module_action, sigma, i - 1, j)
+            _check_commutes(field, d_cols, g, g_tgt, i, j)
+        values[mu] = _trace_on_homology(field, bases, g)
     return ClassFunction(M.n, values)
 
 

@@ -310,143 +310,110 @@ class ResourceLimit(RuntimeError):
         self.partial = partial
 
 
-def _quotient_product_coords(Q, a_coords: dict, e: int, m: tuple, f: int) -> dict:
-    """(A-element of degree e, given by standard coords) times (standard
-    monomial m of degree f), as standard coords in degree e+f."""
-    std_e = Q.standard_monomials(e)
-    amb = {mm: i for i, mm in enumerate(monomials_of_degree(Q.n, e + f))}
-    vec = {}
-    for i, c in a_coords.items():
-        prod = tuple(x + y for x, y in zip(std_e[i], m))
-        idx = amb[prod]
-        vec[idx] = Q.field.add(vec.get(idx, Q.field.zero), c)
-    return Q.normal_coords(e + f, vec)
+class _FreeModule:
+    """F = sum_g A(-degs[g]) over a cyclic module A with monomial labels.
+
+    The layout is built once: for each degree j with F_j != 0, the offset of
+    each generator's block in F_j and the generator owning each coordinate.
+    """
+
+    def __init__(self, A: GradedModule, degs: list[int]):
+        self.A = A
+        self.degs = degs
+        self.layout = {}
+        top = max(A.degrees())
+        for j in range(min(degs), max(degs) + top + 1):
+            offsets, owner = [], []
+            for g, dg in enumerate(degs):
+                offsets.append(len(owner))
+                owner += [g] * A.dim(j - dg)
+            if owner:
+                self.layout[j] = (offsets, owner)
+
+    def times_variable(self, k: int, vec: dict, j: int) -> dict:
+        """x_k times a degree-j element of F."""
+        if not vec:
+            return {}
+        field = self.A.field
+        offsets, owner = self.layout[j]
+        img = {}
+        for idx, v in vec.items():
+            g = owner[idx]
+            col = self.A.columns(k, j - self.degs[g])[idx - offsets[g]]
+            if not col:
+                continue
+            base = self.layout[j + 1][0][g]
+            for t, w in col.items():
+                tidx = base + t
+                nv = field.add(img.get(tidx, field.zero), field.mul(v, w))
+                if nv == field.zero:
+                    img.pop(tidx, None)
+                else:
+                    img[tidx] = nv
+        return img
+
+    def times_monomial(self, m: tuple, vec: dict, j: int) -> dict:
+        """x^m times a degree-j element of F, one variable at a time."""
+        for k, e in enumerate(m):
+            for _ in range(e):
+                vec = self.times_variable(k, vec, j)
+                j += 1
+        return vec
 
 
-def residue_field_resolution(Q, max_i: int = 5, gen_limit: int = 20000) -> dict:
+def residue_field_resolution(A: GradedModule, max_i: int = 5, gen_limit: int = 20000) -> dict:
     """Graded betti numbers beta^A_{i,j}(k) for i <= max_i over the artinian
-    quotient, by iterated minimal-kernel linear algebra.
+    quotient A, by iterated minimal-kernel linear algebra.
+
+    A is the quotient's module (`inverse.module_of_quotient`): degrees
+    0..top, with `labels[j]` the monomials of its degree-j basis.  Every
+    product in A goes through A's variable columns.  Each generator of F_i is
+    stored as its image in F_{i-1}, the kernel vector it was chosen as.
 
     Returns {(i, j): count}.  Raises ResourceLimit (with .partial holding the
     computed part) when the module sizes exceed gen_limit.
     """
-    field = Q.field
-    top = Q.top_degree()
-    if top is None:
-        raise ConfigError("quotient is not artinian within its degree cap")
-    hf = [Q.hilbert(j) for j in range(top + 1)]
-
+    field = A.field
     betti = {(0, 0): 1}
-    if max_i == 0 or hf[1] == 0:
+    if max_i == 0 or A.dim(1) == 0:
         return betti
 
-    def piece_layout(degs, j):
-        """[(gen, offset, piecedim)] for the degree-j part of a free module."""
-        out = []
-        off = 0
-        for g, dg in enumerate(degs):
-            pd = hf[j - dg] if 0 <= j - dg <= top else 0
-            out.append((g, off, pd))
-            off += pd
-        return out, off
-
-    def variable_images(vec, degs, j, k):
-        """x_k times a degree-j element of the free module with gen degrees degs."""
-        src_layout, _ = piece_layout(degs, j)
-        tgt_layout, _ = piece_layout(degs, j + 1)
-        img = {}
-        for g, goff, gdim in src_layout:
-            if gdim == 0:
-                continue
-            colsk = None
-            toff = tgt_layout[g][1]
-            for idx, v in vec.items():
-                if not goff <= idx < goff + gdim:
-                    continue
-                if colsk is None:
-                    colsk = Q.multiplication_columns(k, j - degs[g])
-                for t, w in colsk[idx - goff].items():
-                    tidx = toff + t
-                    nv = field.add(img.get(tidx, field.zero), field.mul(v, w))
-                    if nv == field.zero:
-                        img.pop(tidx, None)
-                    else:
-                        img[tidx] = nv
-        return img
-
-    def map_columns(src_degs, tgt_degs, ents, j):
-        """Columns of the degree-j piece of the map with the given entries."""
-        src_layout, _ = piece_layout(src_degs, j)
-        cols = []
-        tgt_layout, _ = piece_layout(tgt_degs, j)
-        for g, goff, gdim in src_layout:
-            if gdim == 0:
-                continue
-            std_f = Q.standard_monomials(j - src_degs[g])
-            for m in std_f:
-                col = {}
-                for r, roff, rdim in tgt_layout:
-                    a = ents[r][g]
-                    if not a:
-                        continue
-                    prod = _quotient_product_coords(
-                        Q, a, src_degs[g] - tgt_degs[r], m, j - src_degs[g]
-                    )
-                    for t, v in prod.items():
-                        idx = roff + t
-                        nv = field.add(col.get(idx, field.zero), v)
-                        if nv == field.zero:
-                            col.pop(idx, None)
-                        else:
-                            col[idx] = nv
-                cols.append(col)
-        return cols
-
-    # F_1 covers m_A: one generator per basis element of A_1, in degree 1.
-    gen_degs_prev = [0]
-    gen_degs = [1] * hf[1]
-    # entries[r][c]: A-element (standard coords, degree deg_c - deg_r) mapping
-    # generator c of F_i to the r-th summand of F_{i-1}.
-    entries = [[{c: field.one} for c in range(len(gen_degs))]]
+    # F_1 covers m_A: one generator per basis element of A_1, in degree 1,
+    # mapping to that basis element of F_0 = A.
+    target = _FreeModule(A, [0])
+    gen_degs = [1] * A.dim(1)
+    images = [{c: field.one} for c in range(A.dim(1))]
     betti[(1, 1)] = len(gen_degs)
 
     for i in range(2, max_i + 1):
-        lo, hi = min(gen_degs), max(gen_degs) + top
+        source = _FreeModule(A, gen_degs)
         kernel_per_degree = {}
-        for j in range(lo, hi + 1):
-            _, sdim = piece_layout(gen_degs, j)
-            if sdim == 0:
-                continue
-            cols = map_columns(gen_degs, gen_degs_prev, entries, j)
+        for j in sorted(source.layout):
+            cols = [
+                target.times_monomial(m, images[g], dg)
+                for g, dg in enumerate(gen_degs)
+                for m in A.labels.get(j - dg, ())
+            ]
             ker = kernel_of_columns(field, cols)
             if ker:
                 kernel_per_degree[j] = ker
-        new_degs, new_vectors = [], []
+        new_degs, new_images = [], []
         for j in sorted(kernel_per_degree):
             span = Echelon(field)
             for vec in kernel_per_degree.get(j - 1, []):
-                for k in range(Q.n):
-                    span.insert(variable_images(vec, gen_degs, j - 1, k))
+                for k in range(A.n):
+                    span.insert(source.times_variable(k, vec, j - 1))
             for v in kernel_per_degree[j]:
                 if span.insert(v) is not None:
                     new_degs.append(j)
-                    new_vectors.append(v)
+                    new_images.append(v)
         if not new_degs:
             break
-        if len(new_degs) * (sum(hf) + 1) > gen_limit:
+        if len(new_degs) * (A.total_dim() + 1) > gen_limit:
             raise ResourceLimit(
                 f"resolution step {i} exceeds generator limit {gen_limit}", betti
             )
         for j in new_degs:
             betti[(i, j)] = betti.get((i, j), 0) + 1
-        new_entries = [[None for _ in new_degs] for _ in gen_degs]
-        for c, (j, vec) in enumerate(zip(new_degs, new_vectors)):
-            layout, _ = piece_layout(gen_degs, j)
-            for g, goff, gdim in layout:
-                sub = {
-                    idx - goff: v for idx, v in vec.items() if goff <= idx < goff + gdim
-                }
-                if sub:
-                    new_entries[g][c] = sub
-        gen_degs_prev, gen_degs, entries = gen_degs, new_degs, new_entries
+        target, gen_degs, images = source, new_degs, new_images
     return betti

@@ -83,9 +83,6 @@ class QuotientAlgebra:
         rs = self.ideal_component(j)
         return [rs.basis[i] for i in rs.complement_columns()]
 
-    def std_index(self, j: int) -> dict:
-        return {e: i for i, e in enumerate(self.standard_monomials(j))}
-
     def normal_coords(self, j: int, vec: dict) -> dict:
         """Coordinates of a degree-j coefficient vector in the standard basis."""
         rs = self.ideal_component(j)
@@ -93,11 +90,6 @@ class QuotientAlgebra:
         cols = rs.complement_columns()
         pos = {c: i for i, c in enumerate(cols)}
         return {pos[c]: v for c, v in nf.items()}
-
-    def reduce_polynomial(self, p: Polynomial) -> dict:
-        j = p.degree()
-        rs = self.ideal_component(j)
-        return self.normal_coords(j, rs.to_vector(p))
 
     def multiplication_columns(self, k: int, j: int) -> list[dict]:
         """Columns of x_k : A_j -> A_{j+1} over the standard bases."""
@@ -129,9 +121,6 @@ class QuotientAlgebra:
                 return top
             top = j
         return None
-
-    def is_artinian_within_cap(self) -> bool:
-        return self.top_degree() is not None
 
 
 def inverse_system_component(Q: QuotientAlgebra, j: int) -> RowSpace:

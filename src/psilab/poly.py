@@ -112,11 +112,6 @@ class _Sparse:
             out[tuple(ne)] = c
         return type(self)(self.n, out, self.field)
 
-    def support_types(self):
-        from .partitions import monomial_type
-
-        return {monomial_type(e) for e in self.terms}
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -152,14 +147,6 @@ class Polynomial(_Sparse):
                     out.pop(e, None)
                 else:
                     out[e] = v
-        return Polynomial(self.n, out, self.field)
-
-    def times_variable(self, k):
-        out = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[k] += 1
-            out[tuple(ne)] = c
         return Polynomial(self.n, out, self.field)
 
     def __repr__(self):

@@ -61,9 +61,6 @@ class RowSpace:
     def contains(self, element) -> bool:
         return self.ech.contains(self.to_vector(element))
 
-    def normal_form(self, element):
-        return self.to_element(self.ech.reduce(self.to_vector(element)))
-
     def normal_form_vector(self, vec: dict) -> dict:
         return self.ech.reduce(vec)
 

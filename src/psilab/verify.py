@@ -388,8 +388,9 @@ def criterion_golod_koszul(seed: int = 1) -> CriterionResult:
     # d=3, n=5: A is Golod: the k-resolution attains the Serre bound built
     # from the R-betti table of A.
     Q = general_quotient(5, 3, seed)
-    table = koszul_betti(module_of_quotient(Q))
-    betti_k = residue_field_resolution(Q, max_i=4, gen_limit=200000)
+    A = module_of_quotient(Q)
+    table = koszul_betti(A)
+    betti_k = residue_field_resolution(A, max_i=4, gen_limit=200000)
     totals = {}
     for (i, j), v in betti_k.items():
         totals[i] = totals.get(i, 0) + v
@@ -418,7 +419,7 @@ def criterion_golod_koszul(seed: int = 1) -> CriterionResult:
     )
     # d=2, n=3: Koszul, beta^A_{i,j}(k) diagonal with totals 1,3,8,21,55,144
     Q2 = general_quotient(3, 2, seed)
-    betti_k2 = residue_field_resolution(Q2, max_i=5, gen_limit=200000)
+    betti_k2 = residue_field_resolution(module_of_quotient(Q2), max_i=5, gen_limit=200000)
     diag = all(i == j for (i, j) in betti_k2)
     tot2 = {}
     for (i, j), v in betti_k2.items():

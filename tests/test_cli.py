@@ -1,9 +1,14 @@
 """CLI surface: exit codes, JSON round trips, report shape."""
 
 import json
+import time
+
+import pytest
 
 from psilab.cli import main
+from psilab.homology import ResourceLimit
 from psilab.poly import element_from_json, parse_element
+from psilab.psi import PsiIdeal
 
 
 def run_json(capsys, argv):
@@ -137,3 +142,39 @@ def test_field_flag(capsys):
     )
     assert code == 0
     assert rep["results"]["dimension"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--n", "3", "--d", "2", "--seed", "1"],
+        ["golod-check", "--n", "3", "--d", "2", "--seed", "1", "--max-i", "2"],
+        ["equivariant", "--n", "3", "--d", "2", "--seed", "1", "--i", "1", "--j", "2"],
+        ["orbit-dim", "--n", "3", "--d", "2", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seconds_cover_the_whole_command(monkeypatch, capsys, argv):
+    # every command's clock runs from entry to main until the report, so a
+    # slow orbit span is part of its reported time
+    orbit_span = PsiIdeal.from_polynomial
+
+    def slow_orbit_span(cls, f):
+        time.sleep(0.2)
+        return orbit_span(f)
+
+    monkeypatch.setattr(PsiIdeal, "from_polynomial", classmethod(slow_orbit_span))
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["seconds"] >= 0.2
+
+
+def test_resource_limit_exits_3(monkeypatch, capsys):
+    def too_large(A, max_i, gen_limit=20000):
+        raise ResourceLimit("resolution step 2 exceeds generator limit 1", {(0, 0): 1})
+
+    monkeypatch.setattr("psilab.cli.residue_field_resolution", too_large)
+    code = main(["golod-check", "--n", "3", "--d", "2", "--seed", "1", "--max-i", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "generator limit" in err

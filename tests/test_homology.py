@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from psilab.fields import QQ, ConfigError
+from psilab.fields import QQ, ConfigError, PrimeField
 from psilab.partitions import partition_count
 from psilab.poly import parse_element
 from psilab.psi import PsiIdeal, sample_general_f
@@ -27,6 +27,7 @@ from psilab.homology import (
     residue_field_resolution,
     truncated_power_module,
 )
+from psilab.verify import golod_bound_series, series_coefficients
 
 
 def general_quotient(n, d, seed=1):
@@ -144,21 +145,9 @@ def test_self_duality_of_koszul_complex():
     assert matlis_betti_duality(M, M)
 
 
-def series_coefficients(numerator, denominator, upto):
-    num = list(numerator) + [0] * (upto + 1)
-    den = list(denominator) + [0] * (upto + 1)
-    out = []
-    for i in range(upto + 1):
-        c = Fraction(num[i])
-        for j in range(1, i + 1):
-            c -= Fraction(den[j]) * out[i - j]
-        out.append(c / den[0])
-    return out
-
-
 def test_residue_field_resolution_koszul_case():
     Q = general_quotient(3, 2)
-    betti = residue_field_resolution(Q, max_i=5, gen_limit=100000)
+    betti = residue_field_resolution(module_of_quotient(Q), max_i=5, gen_limit=100000)
     assert all(i == j for (i, j) in betti)
     totals = {}
     for (i, j), v in betti.items():
@@ -170,7 +159,7 @@ def test_residue_field_resolution_koszul_case():
 def test_residue_field_resolution_golod_case():
     Q = general_quotient(5, 3)
     table = koszul_betti(module_of_quotient(Q))
-    betti = residue_field_resolution(Q, max_i=3, gen_limit=100000)
+    betti = residue_field_resolution(module_of_quotient(Q), max_i=3, gen_limit=100000)
     totals = {}
     for (i, j), v in betti.items():
         totals[i] = totals.get(i, 0) + v
@@ -183,12 +172,46 @@ def test_residue_field_resolution_golod_case():
     assert totals[2] == comb(5, 2) + table.total(1)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(1009)], ids=["QQ", "GF1009"])
+@pytest.mark.parametrize(
+    "kind,n,d",
+    [("koszul", n, 2) for n in (2, 3, 4, 5)]
+    + [("golod", n, 3) for n in (3, 4, 5)]
+    + [("complete-intersection", 3, d) for d in (2, 3)],
+)
+def test_residue_field_resolution_closed_forms(kind, n, d, field):
+    """Totals of the k-resolution against closed forms: 1/H_A(-t) for a
+    general quadric (Koszul, diagonal), the Serre bound for a general cubic
+    (Golod), and C(n+i-1, i) for the complete intersection of x_k^d."""
+    if kind == "complete-intersection":
+        f = parse_element(f"x1^{d}", n=n, field=field)
+        # the default cap d+n stops below the socle x1^(d-1)...xn^(d-1)
+        cap = n * (d - 1) + 1
+    else:
+        f = sample_general_f(n, d, 1, 99, field)
+        cap = None
+    A = module_of_quotient(QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f), cap))
+    upto = 3 if kind == "golod" else 4
+    betti = residue_field_resolution(A, max_i=upto)
+    totals = [0] * (upto + 1)
+    for (i, _), v in betti.items():
+        totals[i] += v
+    if kind == "koszul":
+        hilbert_at_minus_t = [(-1) ** j * A.dim(j) for j in A.degrees()]
+        assert totals == series_coefficients([1], hilbert_at_minus_t, upto)
+        assert all(i == j for (i, j) in betti)
+    elif kind == "golod":
+        assert totals == golod_bound_series(n, koszul_betti(A), upto)
+    else:
+        assert totals == [comb(n + i - 1, i) for i in range(upto + 1)]
+
+
 def test_residue_field_resolution_gen_limit():
     from psilab.homology import ResourceLimit
 
     Q = general_quotient(3, 2)
     with pytest.raises(ResourceLimit) as exc:
-        residue_field_resolution(Q, max_i=5, gen_limit=10)
+        residue_field_resolution(module_of_quotient(Q), max_i=5, gen_limit=10)
     assert (0, 0) in exc.value.partial
 
 
