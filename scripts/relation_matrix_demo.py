@@ -18,7 +18,7 @@ parser.add_argument("--n", type=int, default=6)
 parser.add_argument("--seed", type=int, default=1)
 args = parser.parse_args()
 
-system = build_symmetric_matrix(None, args.n, args.d)
+system = build_symmetric_matrix(args.n, args.d)
 print(f"rows (partitions of {args.d - 1}):", system.row_partitions)
 print(f"columns (partitions of {args.d}, without ({args.d},)):", system.column_partitions)
 for q, row in zip(system.row_partitions, system.entries):

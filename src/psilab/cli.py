@@ -45,9 +45,6 @@ class RunConfig:
     seed: int = 0
     coeff_bound: int = 99
     degree_cap: int | None = None
-    max_homological_i: int = 4
-    json_output: bool = False
-    extra: dict = dc_field(default_factory=dict)
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -59,8 +56,6 @@ class RunConfig:
             seed=getattr(args, "seed", 0),
             coeff_bound=getattr(args, "bound", 99),
             degree_cap=getattr(args, "cap", None),
-            max_homological_i=getattr(args, "max_i", 4),
-            json_output=getattr(args, "json", False),
         )
         if cfg.n and cfg.d:
             check_prime_field_bound(field, cfg.n, cfg.d)
@@ -333,7 +328,7 @@ def cmd_equivariant(args):
     f = _load_polynomial(args, cfg.field)
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f), cfg.degree_cap)
     M = module_of_quotient(Q)
-    act = quotient_module_action(Q)
+    act = quotient_module_action(M)
     chi = tor_character(M, act, args.i, args.j, validate=True)
     dec = specht_decompose(chi)
     table = koszul_betti(M)

@@ -14,12 +14,14 @@ from math import factorial
 
 from .fields import QQ, ConfigError
 from .homology import (
+    FreeModule,
     GradedModule,
     koszul_component,
     koszul_differential_columns,
 )
 from .linalg import Echelon, coordinates, kernel_of_columns, matrix_times_vector
 from .partitions import check_partition, is_partition, partitions_of
+from .poly import permute_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +337,20 @@ def tor_character(
 # -- module_action builders -------------------------------------------------
 
 
-def trivial_module_action(M: GradedModule):
+def quotient_module_action(A: GradedModule):
+    """Permutation action on a cyclic module A = R/I whose labels are the
+    monomials of its bases (`inverse.module_of_quotient`,
+    `residue_field_module`): the class of x^e goes to x^(sigma e) * 1,
+    multiplied out through A's own columns.  This is an action only when I
+    is S_n-stable, which `tor_character(..., validate=True)` checks."""
+    free = FreeModule(A, [0])
+    one = A.field.one
+
     def act(sigma, deg):
-        return [{s: M.field.one} for s in range(M.dim(deg))]
-
-    return act
-
-
-def quotient_module_action(Q):
-    """Permutation action on A = R/I through normal forms (I must be stable)."""
-
-    def act(sigma, deg):
-        rs = Q.ideal_component(deg)
-        std = Q.standard_monomials(deg)
-        cols = []
-        for e in std:
-            ne = [0] * Q.n
-            for i2, ei in enumerate(e):
-                ne[sigma[i2]] = ei
-            cols.append(Q.normal_coords(deg, {rs.index[tuple(ne)]: Q.field.one}))
-        return cols
+        return [
+            free.times_monomial(permute_exponents(e, sigma), {0: one}, 0)
+            for e in A.labels[deg]
+        ]
 
     return act
 
@@ -375,11 +371,7 @@ def inverse_system_module_action(Q):
         for vec in vectors:
             img = {}
             for idx, c in vec.items():
-                e = comp.basis[idx]
-                ne = [0] * Q.n
-                for i2, ei in enumerate(e):
-                    ne[sigma[i2]] = ei
-                img[comp.index[tuple(ne)]] = c
+                img[comp.index[permute_exponents(comp.basis[idx], sigma)]] = c
             cols.append(coordinates(Q.field, vectors, keys, img))
         return cols
 
@@ -392,13 +384,7 @@ def monomial_module_action(M: GradedModule):
     def act(sigma, deg):
         labels = M.labels[deg]
         index = {e: i for i, e in enumerate(labels)}
-        cols = []
-        for e in labels:
-            ne = [0] * M.n
-            for i2, ei in enumerate(e):
-                ne[sigma[i2]] = ei
-            cols.append({index[tuple(ne)]: M.field.one})
-        return cols
+        return [{index[permute_exponents(e, sigma)]: M.field.one} for e in labels]
 
     return act
 

@@ -71,7 +71,8 @@ class GradedModule:
 
 
 def residue_field_module(field, n: int) -> GradedModule:
-    return GradedModule(field, n, {0: 1}, {})
+    """k = R/m: one basis vector in degree 0, labelled by the monomial 1."""
+    return GradedModule(field, n, {0: 1}, {}, labels={0: [(0,) * n]})
 
 
 def truncated_power_module(field, n: int, d: int, cap: int) -> GradedModule:
@@ -215,15 +216,12 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def koszul_betti(M: GradedModule, validate: bool = True) -> BettiTable:
+def koszul_betti(M: GradedModule) -> BettiTable:
     """beta_{i,j} = dim H_i(Koszul x M)_j, computed per bidegree as
-    (component dim) - rank d_{i,j} - rank d_{i+1,j}.
-
-    With validate the action matrices are checked to commute first (pass
-    False to skip on modules already validated once).
+    (component dim) - rank d_{i,j} - rank d_{i+1,j}, after checking that
+    the action matrices commute.
     """
-    if validate:
-        M.check_commuting()
+    M.check_commuting()
     table = BettiTable(M.n)
     cache = {}
     for i in range(M.n + 1):
@@ -310,7 +308,7 @@ class ResourceLimit(RuntimeError):
         self.partial = partial
 
 
-class _FreeModule:
+class FreeModule:
     """F = sum_g A(-degs[g]) over a cyclic module A with monomial labels.
 
     The layout is built once: for each degree j with F_j != 0, the offset of
@@ -380,13 +378,13 @@ def residue_field_resolution(A: GradedModule, max_i: int = 5, gen_limit: int = 2
 
     # F_1 covers m_A: one generator per basis element of A_1, in degree 1,
     # mapping to that basis element of F_0 = A.
-    target = _FreeModule(A, [0])
+    target = FreeModule(A, [0])
     gen_degs = [1] * A.dim(1)
     images = [{c: field.one} for c in range(A.dim(1))]
     betti[(1, 1)] = len(gen_degs)
 
     for i in range(2, max_i + 1):
-        source = _FreeModule(A, gen_degs)
+        source = FreeModule(A, gen_degs)
         kernel_per_degree = {}
         for j in sorted(source.layout):
             cols = [

@@ -19,8 +19,9 @@ from .spans import RowSpace
 class QuotientAlgebra:
     """A = R/I for an ideal generated in a single degree, given by a RowSpace.
 
-    Graded components of I, standard-monomial bases of A, and multiplication
-    matrices are computed lazily per degree.
+    Graded components of I are computed lazily per degree.  A itself, with
+    its standard-monomial bases and multiplication matrices, is the module
+    `module_of_quotient` builds.
     """
 
     def __init__(self, gens: RowSpace, degree_cap: int | None = None):
@@ -79,29 +80,6 @@ class QuotientAlgebra:
             return 0
         return comb(self.n + j - 1, j) - self.ideal_component(j).dim
 
-    def standard_monomials(self, j: int) -> list[tuple[int, ...]]:
-        rs = self.ideal_component(j)
-        return [rs.basis[i] for i in rs.complement_columns()]
-
-    def normal_coords(self, j: int, vec: dict) -> dict:
-        """Coordinates of a degree-j coefficient vector in the standard basis."""
-        rs = self.ideal_component(j)
-        nf = rs.normal_form_vector(vec)
-        cols = rs.complement_columns()
-        pos = {c: i for i, c in enumerate(cols)}
-        return {pos[c]: v for c, v in nf.items()}
-
-    def multiplication_columns(self, k: int, j: int) -> list[dict]:
-        """Columns of x_k : A_j -> A_{j+1} over the standard bases."""
-        rs = self.ideal_component(j)
-        std = self.standard_monomials(j)
-        tbl = self._shift_table(j, k)
-        cols = []
-        for e in std:
-            i = rs.index[e]
-            cols.append(self.normal_coords(j + 1, {tbl[i]: self.field.one}))
-        return cols
-
     def top_degree(self) -> int | None:
         """Largest j with A_j != 0, or None when not artinian within the cap.
 
@@ -150,23 +128,16 @@ class HilbertSocle:
         return {i: e for i, e in sorted(self.socle.items()) if e}
 
 
-def socle_component_vectors(Q: QuotientAlgebra, i: int) -> list[dict]:
-    """Basis of Soc(A)_i = intersection of ker(x_k : A_i -> A_{i+1})."""
-    dim_i = Q.hilbert(i)
-    if dim_i == 0:
-        return []
-    stacked = [dict() for _ in range(dim_i)]
-    offset = 0
-    for k in range(Q.n):
-        cols = Q.multiplication_columns(k, i)
-        for s, col in enumerate(cols):
+def socle_component_vectors(A, i: int) -> list[dict]:
+    """Basis of Soc(A)_i = intersection of ker(x_k : A_i -> A_{i+1}), for
+    A the module `module_of_quotient` builds."""
+    stacked = [dict() for _ in range(A.dim(i))]
+    step = A.dim(i + 1)
+    for k in range(A.n):
+        for s, col in enumerate(A.columns(k, i)):
             for r, v in col.items():
-                stacked[s][offset + r] = v
-        offset += Q.hilbert(i + 1)
-    if offset == 0:
-        # zero target: every vector is annihilated
-        return [{s: Q.field.one} for s in range(dim_i)]
-    return kernel_of_columns(Q.field, stacked)
+                stacked[s][k * step + r] = v
+    return kernel_of_columns(A.field, stacked)
 
 
 def hilbert_and_socle(Q: QuotientAlgebra) -> HilbertSocle:
@@ -183,10 +154,11 @@ def hilbert_and_socle(Q: QuotientAlgebra) -> HilbertSocle:
             artinian=False,
             status=f"quotient is not artinian within its degree cap {Q.degree_cap}",
         )
-    hf = [Q.hilbert(j) for j in range(top + 1)] + [0] * (Q.degree_cap - top)
+    A = module_of_quotient(Q)
+    hf = [A.dim(j) for j in range(top + 1)] + [0] * (Q.degree_cap - top)
     socle = {}
     for i in range(top + 1):
-        e = len(socle_component_vectors(Q, i))
+        e = len(socle_component_vectors(A, i))
         if e:
             socle[i] = e
     s = max(socle) if socle else 0
@@ -357,20 +329,42 @@ def full_power_ideal(n: int, j: int, field=QQ) -> RowSpace:
 
 
 def module_of_quotient(Q: QuotientAlgebra):
-    """A as a finite-length graded module with standard-monomial bases."""
+    """A as a finite-length graded module in degrees 0..top: the basis of A_j
+    is the standard (non-pivot) monomials of I_j, listed in `labels[j]`.
+
+    This is the one place monomials are reduced modulo I.  Each degree's
+    standard columns are read once, and each distinct product x_k * x^e of a
+    standard monomial is reduced once; a column shared by several (k, e)
+    is one dict, which no consumer mutates.
+    """
     from .homology import GradedModule
 
     top = Q.top_degree()
     if top is None:
         raise ConfigError("quotient is not artinian within its degree cap")
-    dims = {j: Q.hilbert(j) for j in range(top + 1)}
-    action = {}
-    labels = {}
+    field = Q.field
+    dims, labels, action = {}, {}, {}
     for j in range(top + 1):
-        labels[j] = Q.standard_monomials(j)
+        rs = Q.ideal_component(j)
+        std = rs.complement_columns()
+        dims[j] = len(std)
+        labels[j] = [rs.basis[c] for c in std]
+        if j == 0:
+            continue
+        # x_k : A_{j-1} -> A_j, reducing each distinct product once
+        pos = {c: i for i, c in enumerate(std)}
+        images = {}
         for k in range(Q.n):
-            action[(k, j)] = Q.multiplication_columns(k, j)
-    return GradedModule(Q.field, Q.n, dims, action, labels=labels)
+            cols = []
+            for e in labels[j - 1]:
+                prod = e[:k] + (e[k] + 1,) + e[k + 1 :]
+                col = images.get(prod)
+                if col is None:
+                    nf = rs.normal_form_vector({rs.index[prod]: field.one})
+                    col = images[prod] = {pos[c]: v for c, v in nf.items()}
+                cols.append(col)
+            action[(k, j - 1)] = cols
+    return GradedModule(field, Q.n, dims, action, labels=labels)
 
 
 def module_of_inverse_system(Q: QuotientAlgebra):

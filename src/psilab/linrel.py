@@ -144,10 +144,9 @@ def build_full_system(t: dict, n: int, d: int, field=QQ) -> FullSystem:
     )
 
 
-def build_symmetric_matrix(t_symbolic_ok: object, n: int, d: int, field=QQ) -> SymmetricSystem:
-    """The P(d-1) x (P(d)-1) matrix of the symmetric-reduced equations; the
-    first argument is ignored except for API symmetry (entries stay symbolic
-    in t; specialize() plugs numbers in)."""
+def build_symmetric_matrix(n: int, d: int, field=QQ) -> SymmetricSystem:
+    """The P(d-1) x (P(d)-1) matrix of the symmetric-reduced equations;
+    entries stay symbolic in t, and specialize() plugs numbers in."""
     if not n >= d or d < 2:
         raise ConfigError("need n >= d >= 2")
     if isinstance(field, PrimeField) and field.p <= n:
@@ -216,7 +215,7 @@ class AprimeReport:
 def analyze_Aprime(t: dict | None, n: int, d: int, field=QQ) -> AprimeReport:
     """Check the determinant factorization of A' at t = 0 and, for numeric t,
     report the rank of A and the solution dimension of the symmetric system."""
-    system = build_symmetric_matrix(None, n, d, field)
+    system = build_symmetric_matrix(n, d, field)
     _, minor = reduced_minor(system)
     zero_t = {}
     m0 = [[e.evaluate(field, zero_t) for e in row] for row in minor]
@@ -244,7 +243,7 @@ def analyze_Aprime(t: dict | None, n: int, d: int, field=QQ) -> AprimeReport:
 
 def minor_determinant(t: dict, n: int, d: int, field=QQ):
     """det A'(t) for a numeric parameter vector."""
-    system = build_symmetric_matrix(None, n, d, field)
+    system = build_symmetric_matrix(n, d, field)
     _, minor = reduced_minor(system)
     m = [[e.evaluate(field, t) for e in row] for row in minor]
     return determinant(field, m)

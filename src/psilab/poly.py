@@ -30,6 +30,14 @@ def monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def permute_exponents(e: tuple, sigma) -> tuple:
+    """The exponent tuple of x^e with variable i relabelled sigma[i]."""
+    ne = [0] * len(e)
+    for i, ei in enumerate(e):
+        ne[sigma[i]] = ei
+    return tuple(ne)
+
+
 class _Sparse:
     """Shared storage/arithmetic for Polynomial and DualElement."""
 
@@ -53,10 +61,6 @@ class _Sparse:
 
     def is_zero(self):
         return not self.terms
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.field.zero)
@@ -104,12 +108,7 @@ class _Sparse:
         """Relabel variable i to sigma[i] (sigma is 0-indexed, len n)."""
         if len(sigma) != self.n:
             raise ConfigError(f"permutation length {len(sigma)} != n={self.n}")
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.n
-            for i, ei in enumerate(e):
-                ne[sigma[i]] = ei
-            out[tuple(ne)] = c
+        out = {permute_exponents(e, sigma): c for e, c in self.terms.items()}
         return type(self)(self.n, out, self.field)
 
     def to_json(self) -> dict:

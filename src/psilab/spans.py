@@ -84,26 +84,3 @@ class RowSpace:
         dual vector against a polynomial with the same exponent support is
         the coordinate dot product)."""
         return self.ech.kernel_basis(len(self.basis))
-
-
-def reduce_to_basis(vectors, degree: int, n=None, field=QQ, dual=False) -> RowSpace:
-    """Echelon span of homogeneous elements of one degree.
-
-    For dual elements pass the common degree as a negative integer.  The
-    ambient data (n, field, dual) is inferred from the first element; pass it
-    explicitly for an empty family.
-    """
-    vectors = list(vectors)
-    if vectors:
-        first = vectors[0]
-        n, field, dual = first.n, first.field, isinstance(first, DualElement)
-    elif n is None:
-        raise ConfigError("empty family needs explicit n")
-    ambient_degree = -degree if dual else degree
-    rs = RowSpace(n, ambient_degree, field, dual=dual)
-    for v in vectors:
-        d = v.degree()
-        if d is not None and d != degree:
-            raise ConfigError(f"element of degree {d}, expected {degree}")
-        rs.add(v)
-    return rs

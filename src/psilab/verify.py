@@ -8,10 +8,11 @@ pinned from the source material).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import wraps
 from math import comb
+from time import perf_counter
 
 from .fields import QQ, PrimeField
 from .partitions import monomial_symmetric, partition_count, partitions_of
@@ -54,7 +55,6 @@ from .equivariant import (
     specht_decompose,
     tensor_with_standard,
     tor_character,
-    trivial_module_action,
 )
 
 
@@ -109,6 +109,19 @@ class CriterionResult:
         return lines
 
 
+def _timed(criterion):
+    """Set the returned result's `seconds` to the criterion's wall time."""
+
+    @wraps(criterion)
+    def run(*args, **kwargs):
+        start = perf_counter()
+        res = criterion(*args, **kwargs)
+        res.seconds = perf_counter() - start
+        return res
+
+    return run
+
+
 GOLDEN_CUBIC_N5 = {
     (0, 0): 1,
     (1, 3): 33,
@@ -142,9 +155,9 @@ def general_quotient(n, d, seed, field=QQ, bound=99, cap=None):
     return QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f), cap)
 
 
+@_timed
 def criterion_golden_cubic(n: int = 5) -> CriterionResult:
     """Betti table of the explicit cubic example, bit-exact over Q."""
-    t0 = time.time()
     res = CriterionResult("golden-cubic-table")
     f = parse_element(CUBIC_EXAMPLE_TEXT, n=n)
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f))
@@ -156,16 +169,15 @@ def criterion_golden_cubic(n: int = 5) -> CriterionResult:
         f"computed {sorted(table.entries.items())}",
     )
     res.notes.append("computed table:\n" + table.render())
-    res.seconds = time.time() - t0
     return res
 
 
+@_timed
 def criterion_formula_vs_oracle(
     pairs=((2, 2), (2, 3), (2, 4), (2, 5), (3, 5), (3, 6)),
     seeds=(1, 2, 3, 4, 5),
     field=QQ,
 ) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("formula-vs-oracle")
     for d, n in pairs:
         cf = closed_form_betti(n, d)
@@ -176,12 +188,11 @@ def criterion_formula_vs_oracle(
             ok = table == cf
             detail = "" if ok else f"coefficients: {sorted(f.terms.items())}"
             res.add(f"(d={d}, n={n}, seed={seed})", ok, "oracle vs formula", detail)
-    res.seconds = time.time() - t0
     return res
 
 
+@_timed
 def criterion_small_n_cubics(seeds=(1, 2, 3, 4, 5), need: int = 4) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("small-n-cubic-tables")
     for n, expected in SMALL_N_CUBIC_TABLES.items():
         hits = 0
@@ -199,7 +210,6 @@ def criterion_small_n_cubics(seeds=(1, 2, 3, 4, 5), need: int = 4) -> CriterionR
             "oracle vs paper-constant",
             "; ".join(details),
         )
-    res.seconds = time.time() - t0
     return res
 
 
@@ -207,10 +217,10 @@ def expected_socle_b(n: int, d: int) -> int:
     return comb(n + d - 2, d - 1) - (partition_count(d) - 1) * (n - 1) - partition_count(d - 1)
 
 
+@_timed
 def criterion_hilbert_socle(
     cases=((2, 2), (2, 3), (2, 5), (3, 5), (3, 6)), seed: int = 1
 ) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("hilbert-socle")
     for d, n in cases:
         Q = general_quotient(n, d, seed)
@@ -231,12 +241,11 @@ def criterion_hilbert_socle(
             "oracle vs formula",
             f"got {hs.socle_polynomial()}, expect {expect_socle}",
         )
-    res.seconds = time.time() - t0
     return res
 
 
+@_timed
 def criterion_inverse_systems(prime: int = 1009) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("inverse-systems")
     # quadratic example: (I^perp)_{-2} is the span of sum y_i^(2), n=2..8
     for n in range(2, 9):
@@ -287,12 +296,11 @@ def criterion_inverse_systems(prime: int = 1009) -> CriterionResult:
         and comp3.contains(monomial_symmetric((1, 1, 1), nmin3, fp))
     )
     res.add("construction d=3: (Iperp)_-3 = <m_(2,1), m_(1,1,1)>", ok3, "oracle")
-    res.seconds = time.time() - t0
     return res
 
 
+@_timed
 def criterion_linear_relations(seeds=(1, 2, 3, 4, 5)) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("linear-relations")
     for d in (3, 4, 5):
         expected = partition_count(d) - partition_count(d - 1) - 1
@@ -329,12 +337,11 @@ def criterion_linear_relations(seeds=(1, 2, 3, 4, 5)) -> CriterionResult:
             "oracle vs paper-constant",
             f"det {rep.det_at_zero}",
         )
-    res.seconds = time.time() - t0
     return res
 
 
+@_timed
 def criterion_duality(seed: int = 1) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("matlis-duality")
     for d, n in ((2, 3), (2, 4), (3, 5)):
         Q = general_quotient(n, d, seed)
@@ -344,7 +351,6 @@ def criterion_duality(seed: int = 1) -> CriterionResult:
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f))
     ok = matlis_betti_duality(module_of_quotient(Q), module_of_inverse_system(Q))
     res.add("quadratic example, n=3", ok, "oracle (two Koszul runs)")
-    res.seconds = time.time() - t0
     return res
 
 
@@ -382,8 +388,8 @@ def literal_golod_series(n: int, upto: int):
     return series_coefficients(num, den, upto)
 
 
+@_timed
 def criterion_golod_koszul(seed: int = 1) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("golod-koszul")
     # d=3, n=5: A is Golod: the k-resolution attains the Serre bound built
     # from the R-betti table of A.
@@ -438,7 +444,6 @@ def criterion_golod_koszul(seed: int = 1) -> CriterionResult:
         "oracle vs formula",
         f"got {got2}",
     )
-    res.seconds = time.time() - t0
     return res
 
 
@@ -446,15 +451,15 @@ def literal_golod_check(res: CriterionResult) -> Check:
     return next(c for c in res.checks if "literal printed series" in c.name)
 
 
+@_timed
 def criterion_equivariant(seed: int = 1) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("equivariant")
     # (a) Tor_i(k,k) decomposes as the pair of hooks, n <= 6, all i
     from .partitions import is_partition
 
     for n in range(2, 7):
         M = residue_field_module(QQ, n)
-        act = trivial_module_action(M)
+        act = quotient_module_action(M)
         all_ok = True
         for i in range(n + 1):
             dec = specht_decompose(tor_character(M, act, i, i))
@@ -473,7 +478,7 @@ def criterion_equivariant(seed: int = 1) -> CriterionResult:
     for n in (3, 4, 5):
         Q = general_quotient(n, 2, seed)
         M = module_of_quotient(Q)
-        act = quotient_module_action(Q)
+        act = quotient_module_action(M)
         table = koszul_betti(M)
         all_ok = True
         for (i, j), beta in sorted(table.entries.items()):
@@ -518,7 +523,7 @@ def criterion_equivariant(seed: int = 1) -> CriterionResult:
     # (c) d=3, n=5 boundary displays
     Q = general_quotient(5, 3, seed)
     M = module_of_quotient(Q)
-    act = quotient_module_action(Q)
+    act = quotient_module_action(M)
     chi = tor_character(M, act, 4, 4 + 3)
     res.add("(c) d=3, n=5: Tor_4(A)_7 = 0 (ell = 0)", chi.is_zero(), "oracle")
     dec = specht_decompose(tor_character(M, act, 5, 5 + 3))
@@ -532,7 +537,7 @@ def criterion_equivariant(seed: int = 1) -> CriterionResult:
         Q = general_quotient(n, d, seed)
         MA = module_of_quotient(Q)
         MD = module_of_inverse_system(Q)
-        actA = quotient_module_action(Q)
+        actA = quotient_module_action(MA)
         actD = inverse_system_module_action(Q)
         sgn = sign_class_function(n)
         tableA = koszul_betti(MA)
@@ -545,12 +550,11 @@ def criterion_equivariant(seed: int = 1) -> CriterionResult:
         res.add(
             f"(d) equivariant duality (d={d}, n={n})", all_ok, "oracle (two runs)"
         )
-    res.seconds = time.time() - t0
     return res
 
 
+@_timed
 def criterion_restriction(seed: int = 7) -> CriterionResult:
-    t0 = time.time()
     res = CriterionResult("restriction-coefficients")
     for n in (8, 10):
         ok = True
@@ -590,7 +594,6 @@ def criterion_restriction(seed: int = 7) -> CriterionResult:
         ok,
         "oracle (character identity)",
     )
-    res.seconds = time.time() - t0
     return res
 
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from psilab.fields import QQ
+from psilab.fields import QQ, PrimeField
 from psilab.partitions import is_partition, partitions_of
-from psilab.psi import PsiIdeal, sample_general_f
+from psilab.poly import parse_element
+from psilab.psi import PsiIdeal, build_construction_f, sample_general_f
 from psilab.inverse import QuotientAlgebra, module_of_quotient
 from psilab.homology import (
     koszul_betti,
@@ -37,7 +38,6 @@ from psilab.equivariant import (
     tensor_with_standard,
     tor_character,
     tor_trace,
-    trivial_module_action,
     validate_equivariance,
 )
 
@@ -112,7 +112,7 @@ def test_wedge_of_standard_via_tor_of_k():
     # Tor_i(k,k) = hook + previous hook; the Lambda^i part is Sp_{(n-i,1^i)}
     n = 5
     M = residue_field_module(QQ, n)
-    act = trivial_module_action(M)
+    act = quotient_module_action(M)
     for i in range(n + 1):
         dec = specht_decompose(tor_character(M, act, i, i))
         expected = {}
@@ -131,7 +131,7 @@ def test_restriction_of_first_schur_modules():
     # Res S_(1^i) is the i-th wedge of the permutation representation, which
     # is exactly the Tor_i(k,k) character
     M = residue_field_module(QQ, n)
-    act = trivial_module_action(M)
+    act = quotient_module_action(M)
     for i in (1, 2, 3):
         dec_schur = specht_decompose(schur_character((1,) * i, n))
         wedge = specht_decompose(tor_character(M, act, i, i))
@@ -175,7 +175,7 @@ def test_class_function_values_representative_independent():
     n = 4
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(sample_general_f(n, 2, 1)))
     M = module_of_quotient(Q)
-    act = quotient_module_action(Q)
+    act = quotient_module_action(M)
     for mu in partitions_of(n):
         sigma = cycle_type_representative(mu)
         base = tor_trace(M, act, sigma, 2, 3)
@@ -193,7 +193,7 @@ def test_class_function_values_representative_independent():
 def test_dimension_consistency_with_betti():
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(sample_general_f(4, 2, 2)))
     M = module_of_quotient(Q)
-    act = quotient_module_action(Q)
+    act = quotient_module_action(M)
     table = koszul_betti(M)
     for (i, j), beta in table.entries.items():
         dec = specht_decompose(tor_character(M, act, i, j))
@@ -203,7 +203,7 @@ def test_dimension_consistency_with_betti():
 def test_equivariance_validation_passes_for_genuine_action():
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(sample_general_f(3, 2, 1)))
     M = module_of_quotient(Q)
-    act = quotient_module_action(Q)
+    act = quotient_module_action(M)
     sigma = cycle_type_representative((2, 1))
     validate_equivariance(M, act, sigma, 1, 2)
 
@@ -233,7 +233,7 @@ def test_predicted_interior_matches_oracle_cubic():
     pred = predicted_equivariant_tors(5, 3)
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(sample_general_f(5, 3, 1)))
     M = module_of_quotient(Q)
-    act = quotient_module_action(Q)
+    act = quotient_module_action(M)
     for i in (1, 2, 3):
         dec = specht_decompose(tor_character(M, act, i, i + 2))
         assert dec.nonzero() == pred[(i, i + 2)].nonzero()
@@ -247,8 +247,51 @@ def test_boundary_bidegree_derived_variant_matches_oracle():
     n, d = 5, 3
     Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(sample_general_f(n, d, 1)))
     M = module_of_quotient(Q)
-    act = quotient_module_action(Q)
+    act = quotient_module_action(M)
     oracle = specht_decompose(tor_character(M, act, n, n + d - 1))
     assert oracle.nonzero() == derived_boundary_tor(n, d).nonzero()
     literal = predicted_equivariant_tors(n, d)[(n, n + d - 1)]
     assert oracle.nonzero() != literal.nonzero()  # the reported discrepancy
+
+
+def _normal_form_action(Q, sigma, deg):
+    """sigma on A_deg computed directly: the normal form of x^(sigma e)
+    modulo I_deg, in the coordinates of I_deg's complement columns."""
+    rs = Q.ideal_component(deg)
+    std = rs.complement_columns()
+    pos = {c: i for i, c in enumerate(std)}
+    cols = []
+    for c in std:
+        ne = [0] * Q.n
+        for i, ei in enumerate(rs.basis[c]):
+            ne[sigma[i]] = ei
+        nf = rs.normal_form_vector({rs.index[tuple(ne)]: Q.field.one})
+        cols.append({pos[col]: v for col, v in nf.items()})
+    return cols
+
+
+def _action_instances(field):
+    x3 = parse_element("x1^3 + 2*x1*x2*x3", n=3, field=field)
+    fs = [sample_general_f(n, d, 1, field=field) for n, d in ((3, 2), (4, 3), (5, 3))]
+    yield from ((f, None) for f in fs)
+    yield x3, 7
+    yield build_construction_f(2, field=field)[0], None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1009)], ids=["QQ", "GF1009"])
+def test_quotient_action_equals_normal_form_of_permuted_monomial(field):
+    for f, cap in _action_instances(field):
+        Q = QuotientAlgebra.from_psi(PsiIdeal.from_polynomial(f), cap)
+        M = module_of_quotient(Q)
+        act = quotient_module_action(M)
+        for mu in partitions_of(f.n):
+            sigma = cycle_type_representative(mu)
+            for deg in M.degrees():
+                assert act(sigma, deg) == _normal_form_action(Q, sigma, deg)
+
+
+def test_residue_field_action_is_identity():
+    for n in (1, 3, 5):
+        act = quotient_module_action(residue_field_module(QQ, n))
+        for mu in partitions_of(n):
+            assert act(cycle_type_representative(mu), 0) == [{0: QQ.one}]

@@ -55,7 +55,7 @@ def test_full_system_agrees_with_relation_space_oracle():
 
 
 def test_symmetric_matrix_rows_d5():
-    system = build_symmetric_matrix(None, 6, 5)
+    system = build_symmetric_matrix(6, 5)
     n = 6
     cols = system.column_partitions
     rows = {q: r for q, r in zip(system.row_partitions, system.entries)}
@@ -81,7 +81,7 @@ def test_symmetric_matrix_rows_d5():
 
 
 def test_reduced_minor_keeps_trailing_one_columns():
-    system = build_symmetric_matrix(None, 6, 5)
+    system = build_symmetric_matrix(6, 5)
     keep, minor = reduced_minor(system)
     kept = [system.column_partitions[i] for i in keep]
     assert all(lam[-1] == 1 for lam in kept)
@@ -150,7 +150,7 @@ def test_affine_expr_render():
 
 
 def test_quadratic_case_is_one_by_one():
-    system = build_symmetric_matrix(None, 4, 2)
+    system = build_symmetric_matrix(4, 2)
     assert len(system.entries) == 1 and len(system.entries[0]) == 1
     rep = analyze_Aprime(generic_t(2, seed=1), 4, 2)
     assert rep.det_at_zero == 3  # n - 1

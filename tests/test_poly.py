@@ -19,7 +19,7 @@ from psilab.poly import (
     monomials_of_degree,
     parse_element,
 )
-from psilab.spans import reduce_to_basis
+from psilab.spans import RowSpace
 
 
 def test_contract_single_monomial():
@@ -127,16 +127,21 @@ def test_reduce_to_basis_dimension():
         parse_element("x2^2", n=2),
         parse_element("x1^2 + x2^2", n=2),
     ]
-    assert reduce_to_basis(vecs, 2).dim == 2
+    rs = RowSpace(2, 2)
+    for v in vecs:
+        rs.add(v)
+    assert rs.dim == 2
 
 
 def test_reduce_to_basis_empty():
-    assert reduce_to_basis([], 2, n=3).dim == 0
+    assert RowSpace(3, 2).dim == 0
 
 
 def test_reduce_to_basis_mixed_degrees_rejected():
     with pytest.raises(ConfigError):
-        reduce_to_basis([parse_element("x1", n=2), parse_element("x1^2", n=2)], 1)
+        rs = RowSpace(2, 1)
+        for v in (parse_element("x1", n=2), parse_element("x1^2", n=2)):
+            rs.add(v)
 
 
 def test_quadratic_example_span_dimension():
@@ -155,7 +160,9 @@ def test_quadratic_example_listed_generators_span():
         parse_element("x1*x3", n=3),
         parse_element("x2*x3", n=3),
     ]
-    rs = reduce_to_basis(gens, 2)
+    rs = RowSpace(3, 2)
+    for g in gens:
+        rs.add(g)
     assert rs.dim == 5 == 6 - 1
     from psilab.psi import orbit_span
 
